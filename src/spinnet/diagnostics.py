@@ -80,10 +80,26 @@ def batch_residual(e: ParticleEnsemble, batch: Batch) -> np.ndarray:
     return batch.target_values - network_eval_rows(e, batch.points)
 
 
+def residual_loss(r: np.ndarray) -> float:
+    """(1/2P) sum_p r_p^2 for a residual over P points."""
+    return float(0.5 * np.mean(r * r))
+
+
+def residual_signed_split(r: np.ndarray, target_values: np.ndarray) -> tuple[float, float, float]:
+    """(plus, minus, plus + minus): residual sums over sign(f) = +1 and
+    sign(f) = -1, each divided by the batch size.
+
+    The restricted mean is assembled as plus + minus, so the sign split is
+    an exact identity, not an up-to-roundoff one.
+    """
+    plus = float(np.sum(np.where(target_values > 0, r, 0.0)) / r.size)
+    minus = float(np.sum(np.where(target_values < 0, r, 0.0)) / r.size)
+    return plus, minus, plus + minus
+
+
 def empirical_loss(e: ParticleEnsemble, batch: Batch) -> float:
     """(1/2P) sum_p (f - f^(n))^2."""
-    r = batch_residual(e, batch)
-    return float(0.5 * np.mean(r * r))
+    return residual_loss(batch_residual(e, batch))
 
 
 def signed_error(e: ParticleEnsemble, batch: Batch, sign: int = 1) -> float:
@@ -91,41 +107,47 @@ def signed_error(e: ParticleEnsemble, batch: Batch, sign: int = 1) -> float:
     are excluded from both variants."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    r = batch_residual(e, batch)
-    mask = batch.target_values > 0 if sign == 1 else batch.target_values < 0
-    return float(np.sum(np.where(mask, r, 0.0)) / batch.P)
+    plus, minus, _ = signed_error_summary(e, batch)
+    return plus if sign == 1 else minus
 
 
 def signed_error_summary(e: ParticleEnsemble, batch: Batch) -> tuple[float, float, float]:
-    """(plus, minus, residual mean over f != 0) in one pass over the batch.
-
-    The restricted mean is assembled as plus + minus, so the sign split is
-    an exact identity, not an up-to-roundoff one.
-    """
-    r = batch_residual(e, batch)
-    f = batch.target_values
-    plus = float(np.sum(np.where(f > 0, r, 0.0)) / batch.P)
-    minus = float(np.sum(np.where(f < 0, r, 0.0)) / batch.P)
-    return plus, minus, plus + minus
+    """(plus, minus, residual mean over f != 0) in one pass over the batch."""
+    return residual_signed_split(batch_residual(e, batch), batch.target_values)
 
 
+# entries per row block of the n x n pair kernel; the SGD drift walks its
+# P x n feature blocks at the same size
 _PAIR_CHUNK_ENTRIES = 1 << 21
 
 
+def rbf_pair_sums(alpha: float, Z: np.ndarray, rhs: tuple) -> list:
+    """[sum_j phihat(z_i, z_j) R_j for R in rhs] with phihat(z_i, z_j) =
+    exp(alpha z_i . z_j), streamed in row blocks of the pair kernel."""
+    n = Z.shape[0]
+    # a separate buffer for Z.T sends Z @ Z.T to gemm; numpy picks the much
+    # slower syrk when both operands share one buffer
+    ZT = Z.T.copy()
+    outs = [np.empty((n,) + R.shape[1:]) for R in rhs]
+    rows = max(1, _PAIR_CHUNK_ENTRIES // max(1, n))
+    for lo in range(0, n, rows):
+        F = Z[lo : lo + rows] @ ZT
+        F *= alpha
+        np.exp(F, out=F)
+        for out, R in zip(outs, rhs):
+            out[lo : lo + rows] = F @ R
+    return outs
+
+
 def rbf_pair_terms(e: ParticleEnsemble, target) -> tuple[np.ndarray, float]:
-    """Interaction sums of the RBF pair loss, streamed in row blocks.
+    """Interaction sums of the RBF pair loss.
 
     Returns (g, quad) with g_i = sum_j c_j phihat(z_i, z_j) and
     quad = sum_ij c_i c_j phihat(z_i, z_j).
     """
     if not isinstance(e.unit, RbfUnit):
         raise InvalidDimensionError("pair loss is defined for RBF ensembles only")
-    n = e.n
-    g = np.empty(n)
-    rows = max(1, _PAIR_CHUNK_ENTRIES // max(1, n))
-    for lo in range(0, n, rows):
-        F = e.unit.features(e.z[lo : lo + rows], e.z)
-        g[lo : lo + rows] = F @ e.c
+    (g,) = rbf_pair_sums(e.unit.alpha, e.z, (e.c,))
     quad = float(np.dot(e.c, g))
     return g, quad
 

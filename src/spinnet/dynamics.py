@@ -33,12 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import (
+    _PAIR_CHUNK_ENTRIES,
     Batch,
     ExperimentReport,
     REPORT_COLUMNS,
+    batch_residual,
     draw_batch,
-    empirical_loss,
-    signed_error_summary,
+    rbf_exact_loss,
+    rbf_pair_sums,
+    residual_loss,
+    residual_signed_split,
 )
 from .geometry import retract_rows, tangent_project_rows
 from .rng import generator_for, stream
@@ -278,23 +282,15 @@ class DiagnosticPlan:
 # ---------------------------------------------------------------------------
 # drifts
 
-_PAIR_CHUNK_ENTRIES = 1 << 21
-
 
 def _rbf_flow_drift(unit: RbfUnit, c, Z, target):
-    """Pair-loss descent drift and the current loss, streamed in row blocks."""
+    """Pair-loss descent drift and the current loss."""
     n = c.size
     alpha = unit.alpha
     fz = evaluate_target(target, Z)
     gradf = target_grad_rows(target, Z)
-    g = np.empty(n)          # g_i   = sum_j c_j phihat(z_i, z_j)
-    gcz = np.empty_like(Z)   # gcz_i = sum_j c_j phihat(z_i, z_j) z_j
-    cz = c[:, None] * Z
-    rows = max(1, _PAIR_CHUNK_ENTRIES // max(1, n))
-    for lo in range(0, n, rows):
-        F = np.exp(alpha * (Z[lo : lo + rows] @ Z.T))
-        g[lo : lo + rows] = F @ c
-        gcz[lo : lo + rows] = F @ cz
+    # g_i = sum_j c_j phihat(z_i, z_j), gcz_i = sum_j c_j phihat(z_i, z_j) z_j
+    g, gcz = rbf_pair_sums(alpha, Z, (c, c[:, None] * Z))
     dc = fz - g / n
     dZ = c[:, None] * gradf - (alpha / n) * c[:, None] * gcz
     loss = float(-np.dot(c, fz) / n + 0.5 * np.dot(c, g) / (n * n))
@@ -508,13 +504,12 @@ def run_schedule(
         else:
             amp_now = _active(cfg.noise_schedule, step, 0.0)
         if plan.eval_batch is not None:
-            loss = empirical_loss(ens, plan.eval_batch)
-            sp, sm, rest = signed_error_summary(ens, plan.eval_batch)
+            r = batch_residual(ens, plan.eval_batch)
+            loss = residual_loss(r)
+            sp, sm, rest = residual_signed_split(r, plan.eval_batch.target_values)
         else:
             loss = sp = sm = rest = math.nan
         if isinstance(unit, RbfUnit):
-            from .diagnostics import rbf_exact_loss
-
             ex_loss = rbf_exact_loss(ens, target)
             dev = float(np.max(np.abs(np.linalg.norm(Z, axis=1) - unit.radius)))
         else:

@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .diagnostics import Batch, empirical_loss, fit_scaling_slope, read_report
+from .diagnostics import Batch, ReportError, empirical_loss, fit_scaling_slope, read_report
 from .dynamics import (
     DiagnosticPlan,
     InitSpec,
@@ -630,8 +630,8 @@ def merge_reports(paths, force: bool = False) -> dict:
         try:
             slope, stderr = fit_scaling_slope(pts)
             summary["slope"] = {"value": slope, "stderr": stderr}
-        except Exception:  # noqa: BLE001 - slope is best-effort
-            pass
+        except ReportError as err:
+            summary["slope_error"] = str(err)
     return summary
 
 

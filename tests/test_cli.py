@@ -404,6 +404,19 @@ def test_merge_single_size_has_no_slope(tmp_path):
                                        "sem_loss": 0.0}}
 
 
+def test_merge_records_why_the_slope_fit_failed(tmp_path):
+    paths = [synth_report(str(tmp_path / f"run_{k}.csv"), n, 1.0 / n)
+             for k, n in enumerate((10, 20, 40))]
+    # a meta without n is merged as n = -1, which the log-log fit refuses
+    rep = read_report(paths[0])
+    del rep.meta["n"]
+    rep.to_csv(paths[0])
+    summary = merge_reports(paths)
+    assert sorted(summary["per_n"]) == ["-1", "20", "40"]
+    assert "slope" not in summary
+    assert "needs positive n" in summary["slope_error"]
+
+
 def test_merge_refuses_mixed_hashes(tmp_path):
     a = synth_report(str(tmp_path / "run_a.csv"), 10, 0.5, h="aaaa")
     b = synth_report(str(tmp_path / "run_b.csv"), 20, 0.25, h="bbbb")

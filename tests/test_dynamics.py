@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from spinnet.diagnostics import Batch, draw_batch, empirical_loss
+import spinnet.diagnostics as diag
+from spinnet.diagnostics import Batch, draw_batch, empirical_loss, signed_error_summary
 from spinnet.dynamics import (
     DiagnosticPlan,
     FlatPrior,
@@ -322,6 +323,43 @@ def test_resume_from_midpoint_is_bit_exact():
     direct, _ = run_schedule(cfg_full, e0, t, DiagnosticPlan())
     assert np.array_equal(resumed.c, direct.c)
     assert np.array_equal(resumed.z, direct.z)
+
+
+def test_probe_row_matches_standalone_diagnostics_bitwise():
+    # the probe derives loss and signed errors from one residual pass; they
+    # must equal the standalone diagnostics of the returned state.  The eval
+    # batch spans several evaluation row blocks.
+    d = 4
+    unit = SigmoidUnit(d=d)
+    t = SpinTensor.sample(d, 43)
+    cfg = sgd_cfg(30)
+    eval_batch = draw_batch(t, d, 12000, stream(43, "eval"))
+    e0 = cfg.init.sample(unit, 6, stream(cfg.master_seed, "init"))
+    plan = DiagnosticPlan(probe_every=10, eval_batch=eval_batch)
+    final, report = run_schedule(cfg, e0, t, plan)
+    plus, minus, rest = signed_error_summary(final, eval_batch)
+    assert report.series["loss"][-1] == empirical_loss(final, eval_batch)
+    assert report.series["signed_plus"][-1] == plus
+    assert report.series["signed_minus"][-1] == minus
+    assert report.series["resid_nonzero"][-1] == rest == plus + minus
+
+
+@pytest.mark.parametrize("pair_block", [None, 64])
+def test_exact_loss_column_is_the_flow_energy_bitwise(monkeypatch, pair_block):
+    # the probe's exact loss and the drift's pair loss share one pair kernel
+    if pair_block is not None:
+        monkeypatch.setattr(diag, "_PAIR_CHUNK_ENTRIES", pair_block)
+    d, n = 5, 40
+    unit = RbfUnit(alpha=1.0, d=d)
+    t = SpinTensor.sample(d, 47)
+    cfg = TrainConfig(dt=1e-3, steps=50, dynamics="gd",
+                      init=InitSpec(c_law="normal"), master_seed=47)
+    e0 = cfg.init.sample(unit, n, stream(cfg.master_seed, "init"))
+    plan = DiagnosticPlan(probe_every=10, track_flow_energy=True)
+    _, report = run_schedule(cfg, e0, t, plan)
+    steps = report.series["step"]
+    assert steps.tolist() == [0, 10, 20, 30, 40, 50]
+    assert np.array_equal(report.series["exact_loss"], report.extras["flow_energy"][steps])
 
 
 def test_flow_monotone_descent_with_euler_tolerance():

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import spinnet.units as units
 from spinnet.diagnostics import draw_batch
 from spinnet.geometry import sample_sphere_rows
 from spinnet.rng import stream
@@ -76,6 +77,16 @@ def test_sigmoid_is_overflow_safe():
     with np.errstate(over="raise"):
         assert unit.eval_one(x, hi) == 1.0
         assert unit.eval_one(x, lo) == 0.0
+
+
+def test_sigmoid_features_are_overflow_safe_on_arrays():
+    # a = 0, so the preactivations are exactly the biases +-1e4
+    unit = SigmoidUnit(d=2)
+    X = np.array([[1.0, 1.0], [-1.0, 1.0], [0.5, -2.0]])
+    Z = np.array([[0.0, 0.0, 1e4], [0.0, 0.0, -1e4]])
+    with np.errstate(over="raise"):
+        F = unit.features(X, Z)
+    assert np.array_equal(F, np.array([[1.0, 0.0]] * 3))
 
 
 # -- parameter gradients ------------------------------------------------------
@@ -200,16 +211,17 @@ def test_network_is_linear_in_c():
     assert np.max(np.abs(both - split)) < 1e-12 * max(1.0, np.max(np.abs(both)))
 
 
-def test_network_chunking_is_invisible():
-    # different chunk sizes may reassociate the BLAS sums, so compare to a
+def test_network_chunking_is_invisible(monkeypatch):
+    # different block sizes may reassociate the BLAS sums, so compare to a
     # tolerance rather than bitwise
     unit = RbfUnit(alpha=1.0, d=3)
     gen = stream(11, "chunk").generator()
     e = ParticleEnsemble(unit=unit, c=gen.standard_normal(10),
                          z=sample_sphere_rows(3, 10, gen))
     X = sample_sphere_rows(3, 101, gen)
-    a = network_eval_rows(e, X, chunk=1)
     b = network_eval_rows(e, X)
+    monkeypatch.setattr(units, "_EVAL_BLOCK_ENTRIES", 8)  # one row per block
+    a = network_eval_rows(e, X)
     assert np.max(np.abs(a - b)) < 1e-13 * max(1.0, np.max(np.abs(b)))
 
 
