@@ -3,7 +3,8 @@
 Subcommands: train, scale, quench, slice, clt-check, gradcheck, merge.
 Exit codes: 0 success, 1 validation failure (bad config, bad arguments,
 refused merge), 2 runtime failure (diverged run, failed check, failed
-cells).  Errors are emitted as one JSON object on stderr.
+cells, other runtime, value or I/O errors).  Errors are emitted as one
+JSON object on stderr.
 """
 from __future__ import annotations
 
@@ -22,15 +23,18 @@ from .experiments import (
     run_experiment,
     write_summary,
 )
-from .targets import SpinTensor
+from .geometry import InvalidDimensionError
+from .targets import DimensionMismatchError, SpinTensor
 from .units import UnitMismatchError
 
+# the package's own input errors; any other ValueError is a runtime failure
 _VALIDATION_ERRORS = (
     ConfigError,
     ScheduleError,
     ReportError,
     UnitMismatchError,
-    ValueError,
+    InvalidDimensionError,
+    DimensionMismatchError,
     FileNotFoundError,
 )
 
@@ -135,7 +139,10 @@ def _cmd_slice(args) -> int:
     if args.two_angle:
         cols = two_angle_slice(ensemble, target, args.resolution)
     else:
-        i, j = (int(p) for p in args.axes.split(","))
+        try:
+            i, j = (int(p) for p in args.axes.split(","))
+        except ValueError:
+            raise ConfigError(f"--axes expects two integers I,J, got {args.axes!r}") from None
         cols = great_circle_slice(ensemble, target, i, j, args.resolution)
     header = {
         "step": step,
@@ -224,9 +231,7 @@ def main(argv=None) -> int:
         return _fail(2, err)
     except _VALIDATION_ERRORS as err:
         return _fail(1, err)
-    except RuntimeError as err:
-        return _fail(2, err)
-    except OSError as err:
+    except (RuntimeError, OSError, ValueError) as err:
         return _fail(2, err)
 
 

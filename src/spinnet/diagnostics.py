@@ -121,22 +121,35 @@ def signed_error_summary(e: ParticleEnsemble, batch: Batch) -> tuple[float, floa
 _PAIR_CHUNK_ENTRIES = 1 << 21
 
 
+def _pair_block(n: int) -> np.ndarray:
+    """Scratch for one row block of the n x n pair kernel."""
+    return np.empty((min(n, max(1, _PAIR_CHUNK_ENTRIES // max(1, n))), n))
+
+
+def _rbf_pair_sums_into(alpha: float, Z: np.ndarray, rhs: tuple, outs: tuple,
+                        ZT: np.ndarray, F: np.ndarray) -> tuple:
+    """outs[k] = sum_j phihat(z_i, z_j) rhs[k]_j, streamed in row blocks of
+    F.shape[0] rows; ZT (d, n) and F are scratch."""
+    n = Z.shape[0]
+    # a separate buffer for Z.T sends Z @ Z.T to gemm; numpy picks the much
+    # slower syrk when both operands share one buffer
+    np.copyto(ZT, Z.T)
+    rows = F.shape[0]
+    for lo in range(0, n, rows):
+        Fb = np.matmul(Z[lo : lo + rows], ZT, out=F[: min(rows, n - lo)])
+        Fb *= alpha
+        np.exp(Fb, out=Fb)
+        for out, R in zip(outs, rhs):
+            np.matmul(Fb, R, out=out[lo : lo + rows])
+    return outs
+
+
 def rbf_pair_sums(alpha: float, Z: np.ndarray, rhs: tuple) -> list:
     """[sum_j phihat(z_i, z_j) R_j for R in rhs] with phihat(z_i, z_j) =
     exp(alpha z_i . z_j), streamed in row blocks of the pair kernel."""
     n = Z.shape[0]
-    # a separate buffer for Z.T sends Z @ Z.T to gemm; numpy picks the much
-    # slower syrk when both operands share one buffer
-    ZT = Z.T.copy()
     outs = [np.empty((n,) + R.shape[1:]) for R in rhs]
-    rows = max(1, _PAIR_CHUNK_ENTRIES // max(1, n))
-    for lo in range(0, n, rows):
-        F = Z[lo : lo + rows] @ ZT
-        F *= alpha
-        np.exp(F, out=F)
-        for out, R in zip(outs, rhs):
-            out[lo : lo + rows] = F @ R
-    return outs
+    return _rbf_pair_sums_into(alpha, Z, rhs, outs, np.empty(Z.shape[::-1]), _pair_block(n))
 
 
 def rbf_pair_terms(e: ParticleEnsemble, target) -> tuple[np.ndarray, float]:
@@ -368,6 +381,15 @@ class ExperimentReport:
 
 def read_report(path) -> ExperimentReport:
     """Parse a report CSV written by ExperimentReport.to_csv."""
+    try:
+        return _parse_report(path)
+    except ReportError:
+        raise
+    except (ValueError, IndexError) as err:  # bad JSON, a non-number cell, a short row
+        raise ReportError(f"{path}: malformed report ({err})") from None
+
+
+def _parse_report(path) -> ExperimentReport:
     meta, summaries = None, {}
     rows = []
     with open(path) as fh:

@@ -37,16 +37,25 @@ from .diagnostics import (
     Batch,
     ExperimentReport,
     REPORT_COLUMNS,
+    _pair_block,
+    _rbf_pair_sums_into,
     batch_residual,
     draw_batch,
     rbf_exact_loss,
-    rbf_pair_sums,
     residual_loss,
     residual_signed_split,
 )
-from .geometry import retract_rows, tangent_project_rows
+from .geometry import _retract_into, _sq_norms_into, _tangent_project_into, tangent_project_rows
 from .rng import generator_for, stream
-from .targets import PlantedTarget, SpinTensor, evaluate_target, target_grad_rows
+from .targets import (
+    _SPIN3_CHUNK,
+    PlantedTarget,
+    SpinTensor,
+    _spin3_eval_into,
+    _spin3_grad_into,
+    evaluate_target,
+    target_grad_rows,
+)
 from .units import ParticleEnsemble, RbfUnit
 
 DYNAMICS_KINDS = ("gd", "sgd", "langevin")
@@ -62,6 +71,7 @@ class StepFailure(RuntimeError):
     def __init__(self, step: int, particle: int, what: str):
         self.step = step
         self.particle = particle
+        self.what = what
         super().__init__(f"non-finite {what} at step {step}, particle {particle}")
 
 
@@ -283,18 +293,123 @@ class DiagnosticPlan:
 # drifts
 
 
-def _rbf_flow_drift(unit: RbfUnit, c, Z, target):
-    """Pair-loss descent drift and the current loss."""
-    n = c.size
-    alpha = unit.alpha
-    fz = evaluate_target(target, Z)
-    gradf = target_grad_rows(target, Z)
-    # g_i = sum_j c_j phihat(z_i, z_j), gcz_i = sum_j c_j phihat(z_i, z_j) z_j
-    g, gcz = rbf_pair_sums(alpha, Z, (c, c[:, None] * Z))
-    dc = fz - g / n
-    dZ = c[:, None] * gradf - (alpha / n) * c[:, None] * gcz
-    loss = float(-np.dot(c, fz) / n + 0.5 * np.dot(c, g) / (n * n))
-    return dc, dZ, loss
+def _first(mask: np.ndarray) -> int:
+    return int(np.flatnonzero(mask)[0])
+
+
+class _Workspace:
+    """State and scratch buffers of one run, allocated once.
+
+    c and Z hold the current ensemble and are updated in place by apply().
+    flow_drift() writes the exact-flow drift of the current state into
+    dc and dZ (RBF ensembles only; exact=True allocates its buffers).
+    """
+
+    def __init__(self, unit, c: np.ndarray, Z: np.ndarray, exact: bool = False):
+        n, p = Z.shape
+        self.unit, self.n = unit, n
+        self.c, self.Z = c.copy(), Z.copy()
+        self.c_col = self.c[:, None]
+        self.inc_c, self.xi_c = np.empty(n), np.empty(n)
+        self.tmp, self.xi_z = np.empty((n, p)), np.empty((n, p))
+        if unit.constrained:
+            self.zz, self.coef, self.nrm, self.scale = (np.empty(n) for _ in range(4))
+            self.V, self.U = np.empty((n, p)), np.empty((n, p))
+        if exact:
+            block = min(n, _SPIN3_CHUNK)
+            self.m1, self.m2 = np.empty((block, p * p)), np.empty((block, 1, p))
+            self.t1 = np.empty((n, p * p))
+            self.fz, self.g, self.dc, self.cn = (np.empty(n) for _ in range(4))
+            self.gradf, self.cZ, self.gcz, self.dZ = (np.empty((n, p)) for _ in range(4))
+            self.ZT, self.F = np.empty((p, n)), _pair_block(n)
+
+    def ensemble(self) -> ParticleEnsemble:
+        return ParticleEnsemble(unit=self.unit, c=self.c, z=self.Z)
+
+    def flow_drift(self, target):
+        """Pair-loss descent drift (dc, dZ) at the current state."""
+        c, Z, n, alpha = self.c, self.Z, self.n, self.unit.alpha
+        if isinstance(target, SpinTensor):
+            _spin3_eval_into(target, Z, self.fz, self.m1, self.m2)
+            _spin3_grad_into(target, Z, self.gradf, self.t1)
+        else:
+            self.fz[:] = evaluate_target(target, Z)
+            self.gradf[:] = target_grad_rows(target, Z)
+        # g_i = sum_j c_j phihat(z_i, z_j), gcz_i = sum_j c_j phihat(z_i, z_j) z_j
+        np.multiply(self.c_col, Z, out=self.cZ)
+        _rbf_pair_sums_into(alpha, Z, (c, self.cZ), (self.g, self.gcz), self.ZT, self.F)
+        # dc = f(z) - g / n
+        dc = np.divide(self.g, n, out=self.dc)
+        np.subtract(self.fz, dc, out=dc)
+        # dZ = c grad f(z) - ((alpha / n) c) gcz
+        dZ = np.multiply(self.c_col, self.gradf, out=self.dZ)
+        np.multiply(alpha / n, c, out=self.cn)
+        np.multiply(self.cn[:, None], self.gcz, out=self.tmp)
+        np.subtract(dZ, self.tmp, out=dZ)
+        return dc, dZ
+
+    def flow_loss(self) -> float:
+        """Pair loss of the state seen by the last flow_drift() call; valid
+        until the next apply()."""
+        c, n = self.c, self.n
+        return float(-np.dot(c, self.fz) / n + 0.5 * np.dot(c, self.g) / (n * n))
+
+    def apply(self, dc, dZ, dt: float, step: int, noise=None) -> None:
+        """Euler(-Maruyama) update of c and Z in place, then the checks.
+
+        noise is None or (amp, generator): both Gaussian increments, weights
+        first, are drawn from the generator and scaled by amp sqrt(dt).
+        Constrained units get a tangent-projected increment and a
+        retraction.  Raises StepFailure for a post-step norm that is zero or
+        not finite, then for a non-finite weight, then for a non-finite
+        position; the particle is located only then.
+        """
+        c, Z, tmp, inc_c = self.c, self.Z, self.tmp, self.inc_c
+        if noise is not None:
+            amp, gen = noise
+            a = amp * math.sqrt(dt)
+            gen.standard_normal(out=self.xi_c)
+            gen.standard_normal(out=self.xi_z)
+        c += np.multiply(dc, dt, out=inc_c)
+        if noise is not None:
+            c += np.multiply(self.xi_c, a, out=inc_c)
+        if not self.unit.constrained:
+            Z += np.multiply(dZ, dt, out=tmp)
+            if noise is not None:
+                Z += np.multiply(self.xi_z, a, out=tmp)
+        else:
+            V, U = self.V, self.U
+            zz = _sq_norms_into(Z, self.zz, tmp)
+            if noise is None:
+                _tangent_project_into(dZ, Z, zz, V, self.coef, tmp)
+                np.multiply(V, dt, out=U)
+            else:
+                np.multiply(dZ, dt, out=V)
+                V += np.multiply(self.xi_z, a, out=tmp)
+                _tangent_project_into(V, Z, zz, U, self.coef, tmp)
+            U += Z
+            nrm = np.sqrt(_sq_norms_into(U, self.nrm, tmp), out=self.nrm)
+            if not (np.isfinite(nrm).all() and nrm.all()):
+                # norm 0 (the drift cancels the position) or not representable
+                # (overflow after a diverging step): the particle left the
+                # manifold for good
+                raise StepFailure(step, _first((nrm == 0.0) | ~np.isfinite(nrm)), "position")
+            _retract_into(U, nrm, self.unit.radius, Z, self.scale)
+        if not np.isfinite(c).all():
+            raise StepFailure(step, _first(~np.isfinite(c)), "weight")
+        if not np.isfinite(Z).all():
+            raise StepFailure(step, _first(~np.all(np.isfinite(Z), axis=1)), "position")
+
+
+def _add_prior(prior, inv: float, dc, dZ, c, Z, unit):
+    """Drift plus (beta n)^{-1} grad log rho0, inv = (beta n)^{-1}."""
+    gc = prior.grad_c(c)
+    if gc is not None:
+        dc = dc + inv * gc
+    gz = prior.grad_z(Z, unit)
+    if gz is not None:
+        dZ = dZ + inv * gz
+    return dc, dZ
 
 
 def _sgd_drift(unit, c, Z, batch: Batch):
@@ -324,9 +439,10 @@ def rbf_flow_step(e: ParticleEnsemble, target, dt: float) -> ParticleEnsemble:
         raise ScheduleError("the exact flow is defined for RBF ensembles")
     if dt < 0:
         raise ScheduleError(f"dt must be >= 0, got {dt}")
-    dc, dZ, _ = _rbf_flow_drift(e.unit, e.c, e.z, target)
-    c, Z = _apply_step(e.unit, e.c, e.z, dc, dZ, dt)
-    return ParticleEnsemble(unit=e.unit, c=c, z=Z)
+    ws = _Workspace(e.unit, e.c, e.z, exact=True)
+    dc, dZ = ws.flow_drift(target)
+    ws.apply(dc, dZ, dt, 0)
+    return ws.ensemble()
 
 
 def sgd_drift(e: ParticleEnsemble, batch: Batch):
@@ -342,8 +458,9 @@ def sgd_step(e: ParticleEnsemble, target, P: int, dt: float, rng) -> ParticleEns
     gen = generator_for(rng)
     batch = draw_batch(target, e.unit.d, P, gen)
     dc, dZ, _ = _sgd_drift(e.unit, e.c, e.z, batch)
-    c, Z = _apply_step(e.unit, e.c, e.z, dc, dZ, dt)
-    return ParticleEnsemble(unit=e.unit, c=c, z=Z)
+    ws = _Workspace(e.unit, e.c, e.z)
+    ws.apply(dc, dZ, dt, 0)
+    return ws.ensemble()
 
 
 def langevin_step(
@@ -367,64 +484,21 @@ def langevin_step(
     if not (beta > 0):
         raise ScheduleError(f"beta must be positive, got {beta}")
     gen = generator_for(rng)
-    if batch_size is None:
-        if not isinstance(e.unit, RbfUnit):
-            raise ScheduleError("exact-drift langevin requires an RBF ensemble")
-        dc, dZ, _ = _rbf_flow_drift(e.unit, e.c, e.z, target)
+    exact = batch_size is None
+    if exact and not isinstance(e.unit, RbfUnit):
+        raise ScheduleError("exact-drift langevin requires an RBF ensemble")
+    ws = _Workspace(e.unit, e.c, e.z, exact=exact)
+    if exact:
+        dc, dZ = ws.flow_drift(target)
     else:
         batch = draw_batch(target, e.unit.d, batch_size, gen)
         dc, dZ, _ = _sgd_drift(e.unit, e.c, e.z, batch)
     if math.isinf(beta):
-        c, Z = _apply_step(e.unit, e.c, e.z, dc, dZ, dt)
-        return ParticleEnsemble(unit=e.unit, c=c, z=Z)
-    inv = 1.0 / (beta * e.n)
-    gc = prior.grad_c(e.c)
-    if gc is not None:
-        dc = dc + inv * gc
-    gz = prior.grad_z(e.z, e.unit)
-    if gz is not None:
-        dZ = dZ + inv * gz
-    amp = noise_amplitude(beta, e.n)
-    xi_c = gen.standard_normal(e.n)
-    xi_z = gen.standard_normal(e.z.shape)
-    c, Z = _apply_step(e.unit, e.c, e.z, dc, dZ, dt, noise=(amp, xi_c, xi_z))
-    return ParticleEnsemble(unit=e.unit, c=c, z=Z)
-
-
-def _retract_checked(U: np.ndarray, radius: float, step: int) -> np.ndarray:
-    """Retract post-step positions, turning degenerate rows into StepFailure.
-
-    A row can reach norm 0 (drift cancels the position) or a norm that is
-    not representable (overflow after a diverging step); both mean the
-    particle left the manifold for good.
-    """
-    nrm = np.linalg.norm(U, axis=-1)
-    bad = (nrm == 0.0) | ~np.isfinite(nrm)
-    if np.any(bad):
-        raise StepFailure(step, int(np.flatnonzero(bad)[0]), "position")
-    return retract_rows(U, radius)
-
-
-def _apply_step(unit, c, Z, dc, dZ, dt, noise=None, step=0):
-    """Euler(-Maruyama) update; constrained units get tangent-projected
-    increments and a retraction.  Returns new (c, Z)."""
-    if noise is None:
-        c_new = c + dt * dc
-        if unit.constrained:
-            V = tangent_project_rows(dZ, Z)
-            Z_new = _retract_checked(Z + dt * V, unit.radius, step)
-        else:
-            Z_new = Z + dt * dZ
-        return c_new, Z_new
-    amp, xi_c, xi_z = noise
-    sq = math.sqrt(dt)
-    c_new = c + dt * dc + (amp * sq) * xi_c
-    if unit.constrained:
-        V = tangent_project_rows(dt * dZ + (amp * sq) * xi_z, Z)
-        Z_new = _retract_checked(Z + V, unit.radius, step)
+        ws.apply(dc, dZ, dt, 0)
     else:
-        Z_new = Z + dt * dZ + (amp * sq) * xi_z
-    return c_new, Z_new
+        dc, dZ = _add_prior(prior, 1.0 / (beta * e.n), dc, dZ, e.c, e.z, e.unit)
+        ws.apply(dc, dZ, dt, 0, noise=(noise_amplitude(beta, e.n), gen))
+    return ws.ensemble()
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +513,6 @@ def _active(schedule: tuple, step: int, default):
         else:
             break
     return out
-
-
-def _check_finite(step: int, c: np.ndarray, Z: np.ndarray) -> None:
-    if not np.all(np.isfinite(c)):
-        raise StepFailure(step, int(np.flatnonzero(~np.isfinite(c))[0]), "weight")
-    bad = ~np.all(np.isfinite(Z), axis=1)
-    if np.any(bad):
-        raise StepFailure(step, int(np.flatnonzero(bad)[0]), "position")
 
 
 def _target_key(target) -> dict:
@@ -479,8 +545,8 @@ def run_schedule(
     if exact_flow and not isinstance(unit, RbfUnit):
         raise ScheduleError("batch-free dynamics requires an RBF ensemble")
     n = e0.n
-    c = e0.c.copy()
-    Z = e0.z.copy()
+    ws = _Workspace(unit, e0.c, e0.z, exact=exact_flow)
+    c, Z = ws.c, ws.Z
     seed = cfg.master_seed
     beta = cfg.beta
     langevin = cfg.dynamics == "langevin"
@@ -540,9 +606,9 @@ def run_schedule(
     for k in range(start_step, cfg.steps):
         # drift at the current state
         if exact_flow:
-            dc, dZ, pair_loss = _rbf_flow_drift(unit, c, Z, target)
+            dc, dZ = ws.flow_drift(target)
             if plan.track_flow_energy:
-                extras["flow_energy"][k - start_step] = pair_loss
+                extras["flow_energy"][k - start_step] = ws.flow_loss()
         else:
             P = _active(cfg.batch_schedule, k, None)
             if P is None:
@@ -550,39 +616,20 @@ def run_schedule(
             batch = draw_batch(target, unit.d, P, stream(seed, "batch", k))
             dc, dZ, last_batch_loss = _sgd_drift(unit, c, Z, batch)
 
-        # regularizer
         if langevin and inv_beta_n > 0.0:
-            gc = prior.grad_c(c)
-            if gc is not None:
-                dc = dc + inv_beta_n * gc
-            gz = prior.grad_z(Z, unit)
-            if gz is not None:
-                dZ = dZ + inv_beta_n * gz
+            dc, dZ = _add_prior(prior, inv_beta_n, dc, dZ, c, Z, unit)
+
+        if plan.track_flow_energy and exact_flow:
+            V = tangent_project_rows(dZ, Z)
+            extras["flow_driftsq"][k - start_step] = float(np.dot(dc, dc) + np.sum(V * V))
 
         # noise amplitude this step
         if langevin:
             amp = lan_amp
         else:
             amp = _active(cfg.noise_schedule, k, 0.0)
-
-        if amp > 0.0:
-            gen = stream(seed, "noise", k).generator()
-            noise = (amp, gen.standard_normal(n), gen.standard_normal(Z.shape))
-            c2, Z2 = _apply_step(unit, c, Z, dc, dZ, cfg.dt, noise=noise, step=k)
-        else:
-            c2, Z2 = _apply_step(unit, c, Z, dc, dZ, cfg.dt, step=k)
-
-        if plan.track_flow_energy and exact_flow:
-            if unit.constrained:
-                V = tangent_project_rows(dZ, Z)
-            else:
-                V = dZ
-            extras["flow_driftsq"][k - start_step] = float(
-                np.dot(dc, dc) + np.sum(V * V)
-            )
-
-        c, Z = c2, Z2
-        _check_finite(k, c, Z)
+        noise = (amp, stream(seed, "noise", k).generator()) if amp > 0.0 else None
+        ws.apply(dc, dZ, cfg.dt, k, noise)
 
         step_done = k + 1
         if step_done % plan.probe_every == 0 or step_done == cfg.steps:
@@ -590,12 +637,12 @@ def run_schedule(
 
     if plan.track_flow_energy and exact_flow:
         if cfg.steps > start_step:
-            _, _, final_loss = _rbf_flow_drift(unit, c, Z, target)
-            extras["flow_energy"][cfg.steps - start_step] = final_loss
+            ws.flow_drift(target)
+            extras["flow_energy"][cfg.steps - start_step] = ws.flow_loss()
         else:
             extras["flow_energy"] = extras["flow_energy"][:0]
 
-    final = ParticleEnsemble(unit=unit, c=c, z=Z)
+    final = ws.ensemble()
     series = {name: np.array([r[i] for r in rows]) for i, name in enumerate(REPORT_COLUMNS)}
     series["step"] = series["step"].astype(np.int64)
     series["P"] = series["P"].astype(np.int64)
@@ -643,7 +690,10 @@ def save_checkpoint(path, e: ParticleEnsemble, step: int, meta: dict) -> None:
 
 def load_checkpoint(path) -> tuple[ParticleEnsemble, int, dict]:
     with open(path) as fh:
-        blob = json.load(fh)
+        try:
+            blob = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ScheduleError(f"{path}: not a checkpoint ({err})") from None
     if blob.get("schema") != CHECKPOINT_SCHEMA:
         raise ScheduleError(f"unsupported checkpoint schema: {blob.get('schema')!r}")
     return ParticleEnsemble.from_dict(blob["ensemble"]), int(blob["step"]), blob["meta"]

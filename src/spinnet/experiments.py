@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -82,6 +83,8 @@ _SPEC_FIELDS = {
 # execution parameters that do not change what is computed
 _UNHASHED = ("out_dir", "threads")
 
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -135,15 +138,25 @@ class ExperimentSpec:
             raise ConfigError("probe_every and eval batch sizes must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.unit == "rbf" and self._kernel_alpha * self.d > _LOG_DBL_MAX:
+            # phihat = exp(alpha x.z) peaks at exp(alpha d) on the sphere
+            raise ConfigError(
+                f"alpha * d = {self._kernel_alpha * self.d!r} overflows the rbf kernel "
+                f"exp(alpha x.z); it must be <= ln(DBL_MAX) = {_LOG_DBL_MAX:.2f}"
+            )
         try:
             init_from_string(self.c_init)
         except ScheduleError as err:
             raise ConfigError(str(err)) from None
 
+    @property
+    def _kernel_alpha(self) -> float:
+        """The rbf kernel's alpha: the configured one, else 5/d."""
+        return self.alpha if self.alpha is not None else 5.0 / self.d
+
     def build_unit(self):
         if self.unit == "rbf":
-            alpha = self.alpha if self.alpha is not None else 5.0 / self.d
-            return RbfUnit(alpha=alpha, d=self.d)
+            return RbfUnit(alpha=self._kernel_alpha, d=self.d)
         return SigmoidUnit(d=self.d)
 
     def batch_size(self, n: int) -> int:

@@ -76,6 +76,25 @@ def sample_sphere(d: int, rng: RngStream | np.random.Generator) -> SpherePoint:
     return SpherePoint(row, float(np.sqrt(d)))
 
 
+def _sq_norms_into(Z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = |z|^2 per row of Z, summed as np.linalg.norm sums before its
+    square root; tmp is Z-shaped scratch."""
+    np.multiply(Z, Z, out=tmp)
+    return np.add.reduce(tmp, axis=-1, out=out)
+
+
+def _retract_into(U: np.ndarray, nrm: np.ndarray, radius: float, out: np.ndarray,
+                  scale: np.ndarray) -> np.ndarray:
+    """out = rows of U rescaled onto the sphere, given their nonzero norms
+    nrm; scale is nrm-shaped scratch.  out may be U."""
+    np.subtract(nrm, radius, out=scale)
+    np.abs(scale, out=scale)
+    keep = scale <= _RETRACT_GATE * radius
+    np.divide(radius, nrm, out=scale)
+    np.copyto(scale, 1.0, where=keep)
+    return np.multiply(U, scale[..., None], out=out)
+
+
 def retract_rows(Z: np.ndarray, radius: float) -> np.ndarray:
     """Rescale each row of Z onto the sphere of the given radius.
 
@@ -85,11 +104,10 @@ def retract_rows(Z: np.ndarray, radius: float) -> np.ndarray:
     if not (radius > 0.0):
         raise DegenerateVectorError(f"radius must be positive, got {radius}")
     Z = np.asarray(Z, dtype=np.float64)
-    nrm = np.linalg.norm(Z, axis=-1)
+    nrm = np.sqrt(_sq_norms_into(Z, np.empty(Z.shape[:-1]), np.empty(Z.shape)))
     if np.any(nrm == 0.0):
         raise DegenerateVectorError("cannot retract a zero vector onto the sphere")
-    scale = np.where(np.abs(nrm - radius) <= _RETRACT_GATE * radius, 1.0, radius / nrm)
-    return Z * scale[..., None]
+    return _retract_into(Z, nrm, radius, np.empty(Z.shape), np.empty(nrm.shape))
 
 
 def retract_to_sphere(v: np.ndarray, radius: float) -> SpherePoint:
@@ -100,16 +118,27 @@ def retract_to_sphere(v: np.ndarray, radius: float) -> SpherePoint:
     return SpherePoint(retract_rows(v[None, :], radius)[0], radius)
 
 
+def _tangent_project_into(V: np.ndarray, Z: np.ndarray, zz: np.ndarray, out: np.ndarray,
+                          coef: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = v - (v.z / zz) z per row, given the nonzero zz = |z|^2; coef is
+    zz-shaped and tmp Z-shaped scratch.  out may be V."""
+    np.multiply(V, Z, out=tmp)
+    np.add.reduce(tmp, axis=-1, out=coef)
+    coef /= zz
+    np.multiply(coef[..., None], Z, out=tmp)
+    return np.subtract(V, tmp, out=out)
+
+
 def tangent_project_rows(V: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Project each row of V onto the tangent space of the sphere at the
     matching row of Z: v - (v.z / |z|^2) z."""
     V = np.asarray(V, dtype=np.float64)
     Z = np.asarray(Z, dtype=np.float64)
-    zz = np.sum(Z * Z, axis=-1)
+    rows = np.broadcast_shapes(V.shape, Z.shape)
+    zz = _sq_norms_into(Z, np.empty(Z.shape[:-1]), np.empty(Z.shape))
     if np.any(zz == 0.0):
         raise DegenerateVectorError("tangent projection at the origin is undefined")
-    coef = np.sum(V * Z, axis=-1) / zz
-    return V - coef[..., None] * Z
+    return _tangent_project_into(V, Z, zz, np.empty(rows), np.empty(rows[:-1]), np.empty(rows))
 
 
 def tangent_project(v: np.ndarray, z: SpherePoint | np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ class SpinTensor:
     seed: int
     a: np.ndarray
     _sym: np.ndarray | None = field(default=None, init=False, repr=False)
+    _sym_qpr: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -59,6 +60,13 @@ class SpinTensor:
             self._sym = a + a.transpose((1, 2, 0)) + a.transpose((2, 0, 1))
         return self._sym
 
+    def _grad_matrix(self) -> np.ndarray:
+        """symmetrized() laid out as a (q, p r) matrix, cached for the gradient."""
+        if self._sym_qpr is None:
+            d = self.d
+            self._sym_qpr = self.symmetrized().transpose((1, 0, 2)).reshape(d, d * d)
+        return self._sym_qpr
+
     def to_dict(self) -> dict:
         return {"kind": "spin3", "d": self.d, "seed": self.seed}
 
@@ -69,21 +77,39 @@ class SpinTensor:
         return cls.sample(int(blob["d"]), int(blob["seed"]))
 
 
-def spin3_eval_rows(t: SpinTensor, X: np.ndarray, chunk: int = 4096) -> np.ndarray:
+# rows per block of the 3-spin evaluation
+_SPIN3_CHUNK = 4096
+
+
+def _spin3_eval_into(t: SpinTensor, X: np.ndarray, out: np.ndarray, m1: np.ndarray,
+                     m2: np.ndarray) -> np.ndarray:
+    """out = f(X) row by row, in blocks of m1.shape[0] rows; m1 (block, d^2)
+    and m2 (block, 1, d) are scratch."""
+    d = t.d
+    flat = t.a.reshape(d, d * d)
+    block = m1.shape[0]
+    for lo in range(0, X.shape[0], block):
+        Xc = X[lo : lo + block]
+        k = Xc.shape[0]
+        np.matmul(Xc, flat, out=m1[:k])                                    # sum over p
+        m = np.matmul(Xc[:, None, :], m1[:k].reshape(k, d, d), out=m2[:k])  # sum over q
+        m = m[:, 0, :]
+        m *= Xc
+        np.add.reduce(m, axis=1, out=out[lo : lo + block])                 # sum over r
+    out /= d
+    return out
+
+
+def spin3_eval_rows(t: SpinTensor, X: np.ndarray, chunk: int = _SPIN3_CHUNK) -> np.ndarray:
     """f(x) = (1/d) sum_{pqr} a_pqr x_p x_q x_r for each row of X."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != t.d:
         raise DimensionMismatchError(f"points have d = {X.shape[1]}, tensor d = {t.d}")
     d = t.d
-    flat = t.a.reshape(d, d * d)
-    out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], chunk):
-        Xc = X[lo : lo + chunk]
-        m1 = (Xc @ flat).reshape(Xc.shape[0], d, d)        # sum over p
-        m2 = np.matmul(Xc[:, None, :], m1)[:, 0, :]        # sum over q
-        out[lo : lo + chunk] = np.sum(m2 * Xc, axis=1)     # sum over r
-    out /= d
-    return out
+    block = max(1, min(chunk, X.shape[0]))
+    return _spin3_eval_into(
+        t, X, np.empty(X.shape[0]), np.empty((block, d * d)), np.empty((block, 1, d))
+    )
 
 
 def spin3_eval(t: SpinTensor, x: np.ndarray) -> float:
@@ -91,17 +117,23 @@ def spin3_eval(t: SpinTensor, x: np.ndarray) -> float:
     return float(spin3_eval_rows(t, np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
+def _spin3_grad_into(t: SpinTensor, Z: np.ndarray, out: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """out = gradient rows at Z; out is a contiguous (n, d) array and t1
+    (n, d^2) scratch."""
+    n, d = Z.shape
+    np.matmul(Z, t._grad_matrix(), out=t1)                   # sum over q -> [n, p, r]
+    np.matmul(t1.reshape(n, d, d), Z[:, :, None], out=out.reshape(n, d, 1))  # over r
+    out /= d
+    return out
+
+
 def spin3_grad_rows(t: SpinTensor, Z: np.ndarray) -> np.ndarray:
     """Ambient gradient rows: (1/d) sum_{qr} (a_pqr + a_rpq + a_qrp) z_q z_r."""
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     if Z.shape[1] != t.d:
         raise DimensionMismatchError(f"points have d = {Z.shape[1]}, tensor d = {t.d}")
-    d = t.d
-    s_qpr = t.symmetrized().transpose((1, 0, 2)).reshape(d, d * d)
-    t1 = (Z @ s_qpr).reshape(Z.shape[0], d, d)             # sum over q -> [n, p, r]
-    grad = np.matmul(t1, Z[:, :, None])[:, :, 0]           # sum over r
-    grad /= d
-    return grad
+    n, d = Z.shape
+    return _spin3_grad_into(t, Z, np.empty((n, d)), np.empty((n, d * d)))
 
 
 def spin3_grad(t: SpinTensor, z: np.ndarray) -> np.ndarray:

@@ -275,6 +275,28 @@ def test_scale_command_needs_three_sizes(tiny_cfg, tmp_path):
 
 # -- checks ---------------------------------------------------------------
 
+def test_unrepresentable_rbf_kernel_exits_1(tmp_path):
+    # alpha * d = 1000 > ln(DBL_MAX): exp(alpha x.z) overflows on the sphere,
+    # so the config is refused before anything is written
+    out = tmp_path / "big-alpha"
+    code, _, err = run_cli(["scale", "--preset", "paper-rbf-d5", "--set", "alpha=200",
+                            "--out", str(out)])
+    assert code == 1 and stderr_json(err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_runtime_value_error_exits_2(tiny_cfg, tmp_path, monkeypatch):
+    import spinnet.experiments as experiments
+
+    def broken(spec):
+        raise ValueError("raised while running")
+
+    monkeypatch.setattr(experiments, "run_gradcheck", broken)
+    code, _, err = run_cli(["gradcheck", "--config", tiny_cfg, "--out", str(tmp_path / "gc")])
+    assert code == 2
+    assert stderr_json(err) == {"error": "ValueError", "message": "raised while running"}
+
+
 def test_gradcheck_cli_passes(tiny_cfg, tmp_path):
     code, stdout, _ = run_cli(["gradcheck", "--config", tiny_cfg,
                                "--out", str(tmp_path / "gc")])
@@ -356,6 +378,31 @@ def test_slice_validation(train_dir, tmp_path):
     assert code == 1
     code, _, err = run_cli(["slice", str(tmp_path / "missing.json")])
     assert code == 1 and stderr_json(err)["error"] == "FileNotFoundError"
+
+
+def test_slice_axes_must_be_two_integers(train_dir):
+    out, _ = train_dir
+    ckpt = os.path.join(out, "ckpt_n4_r0_s0.json")
+    for axes in ("0,x", "1", "0,1,2"):
+        code, _, err = run_cli(["slice", ckpt, "--axes", axes])
+        assert code == 1 and stderr_json(err)["error"] == "ConfigError"
+
+
+def test_corrupt_input_files_exit_1(tmp_path):
+    # a damaged input file is a validation failure, not a runtime one
+    ckpt = tmp_path / "ckpt_bad.json"
+    ckpt.write_text("{not json")
+    code, _, err = run_cli(["slice", str(ckpt)])
+    assert code == 1 and stderr_json(err)["error"] == "ScheduleError"
+    csv = tmp_path / "run_bad.csv"
+    csv.write_text(
+        "# spinnet-report v1\n"
+        '# meta {"config_hash": "x", "master_seed": 1}\n'
+        + ",".join(REPORT_COLUMNS) + "\n"
+        + ",".join(["0"] * 5 + ["abc"] + ["0.0"] * 7) + "\n"
+    )
+    code, _, err = run_cli(["merge", str(csv)])
+    assert code == 1 and stderr_json(err)["error"] == "ReportError"
 
 
 def test_experiment_slice_needs_checkpoint(tiny_cfg, tmp_path):

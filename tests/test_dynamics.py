@@ -401,7 +401,72 @@ def test_step_failure_carries_the_step_index():
     e0 = cfg.init.sample(unit, n, stream(cfg.master_seed, "init"))
     with np.errstate(over="ignore"), pytest.raises(StepFailure) as err:
         run_schedule(cfg, e0, t, DiagnosticPlan())
-    assert err.value.step >= 0
+    assert (err.value.step, err.value.particle, err.value.what) == (0, 0, "position")
+    assert str(err.value) == "non-finite position at step 0, particle 0"
+
+
+@pytest.mark.parametrize(
+    "kind, dt, seed, pinned",
+    [
+        # the noisy exact-flow update (thermal noise on for the whole run)
+        ("gd", 100.0, 48, (26, 1, "position")),
+        # the exact-drift langevin update (prior pull on c, beta noise)
+        ("langevin", 30.0, 46, (32, 2, "position")),
+    ],
+)
+def test_noisy_step_failure_is_pinned(kind, dt, seed, pinned):
+    # (step, particle, quantity) of the first failure, as recorded before
+    # the exact-flow step moved onto a per-run workspace
+    d, n = 3, 4
+    unit = RbfUnit(alpha=1.0, d=d)
+    t = SpinTensor.sample(d, seed)
+    extra = {"noise_schedule": ((0, 0.1),)} if kind == "gd" else {"beta": 100.0}
+    cfg = TrainConfig(dt=dt, steps=40, dynamics=kind,
+                      init=InitSpec(c_law=("uniform", -1e3, 1e3)), master_seed=seed, **extra)
+    e0 = cfg.init.sample(unit, n, stream(cfg.master_seed, "init"))
+    with np.errstate(all="ignore"), pytest.raises(StepFailure) as err:
+        run_schedule(cfg, e0, t, DiagnosticPlan())
+    assert (err.value.step, err.value.particle, err.value.what) == pinned
+
+
+def test_run_schedule_equals_repeated_flow_steps_bitwise():
+    # the schedule runner and the public step function share one step kernel
+    d, n = 5, 24
+    unit = RbfUnit(alpha=1.0, d=d)
+    t = SpinTensor.sample(d, 53)
+    cfg = TrainConfig(dt=1e-3, steps=30, dynamics="gd",
+                      init=InitSpec(c_law="normal"), master_seed=53)
+    e0 = cfg.init.sample(unit, n, stream(cfg.master_seed, "init"))
+    final, _ = run_schedule(cfg, e0, t, DiagnosticPlan())
+    e = e0
+    for _ in range(cfg.steps):
+        e = rbf_flow_step(e, t, cfg.dt)
+    assert np.array_equal(final.c, e.c)
+    assert np.array_equal(final.z, e.z)
+
+
+@pytest.mark.parametrize("pair_block", [None, 64])
+def test_exact_flow_resume_at_noise_switch_is_bit_exact(monkeypatch, pair_block):
+    # thermal noise for the first half, resumed exactly where it switches off;
+    # 64-entry pair blocks walk the n x n kernel one row at a time
+    if pair_block is not None:
+        monkeypatch.setattr(diag, "_PAIR_CHUNK_ENTRIES", pair_block)
+    d, n = 5, 40
+    unit = RbfUnit(alpha=1.0, d=d)
+    t = SpinTensor.sample(d, 59)
+
+    def cfg(steps):
+        return TrainConfig(dt=1e-3, steps=steps, dynamics="gd",
+                           init=InitSpec(c_law="normal"), master_seed=59,
+                           noise_schedule=((0, 0.05), (50, 0.0)))
+
+    e0 = cfg(100).init.sample(unit, n, stream(59, "init"))
+    mid, _ = run_schedule(cfg(50), e0, t, DiagnosticPlan())
+    resumed, _ = run_schedule(cfg(100), mid, t, DiagnosticPlan(), start_step=50)
+    direct, _ = run_schedule(cfg(100), e0, t, DiagnosticPlan())
+    assert not np.array_equal(mid.z, e0.z)
+    assert np.array_equal(resumed.c, direct.c)
+    assert np.array_equal(resumed.z, direct.z)
 
 
 def test_missing_batch_schedule_segment():
