@@ -135,6 +135,8 @@ def _slice_to_csv(fh, cols: dict) -> None:
 
 def _cmd_slice(args) -> int:
     ensemble, step, meta = load_checkpoint(args.checkpoint)
+    if not isinstance(meta.get("tensor"), dict):
+        raise ScheduleError(f"{args.checkpoint}: checkpoint meta has no 'tensor' key")
     target = SpinTensor.from_dict(meta["tensor"])
     if args.two_angle:
         cols = two_angle_slice(ensemble, target, args.resolution)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import InvalidDimensionError
+from .geometry import InvalidDimensionError, _sq_norms_into
 from .rng import generator_for, stream
 from .targets import evaluate_target
 from .units import ParticleEnsemble, RbfUnit, network_eval_rows
@@ -29,6 +29,24 @@ class EmptyBatchError(ValueError):
 
 class ReportError(ValueError):
     pass
+
+
+def _check_batch(pts: np.ndarray, vals: np.ndarray, nrm: np.ndarray, tmp: np.ndarray) -> None:
+    """Raise InvalidDimensionError unless vals holds one value per row of
+    pts and every row lies on S^{d-1}(sqrt(d)) (relative tol 1e-10); nrm
+    (P,) and tmp (P, d) are scratch."""
+    if vals.shape != (pts.shape[0],):
+        raise InvalidDimensionError(
+            f"target_values shape {vals.shape} does not match {pts.shape[0]} points"
+        )
+    radius = np.sqrt(pts.shape[1])
+    dev = np.sqrt(_sq_norms_into(pts, nrm, tmp), out=nrm)
+    dev -= radius
+    dev = np.abs(dev, out=dev).max()
+    if dev > 1e-10 * radius:
+        raise InvalidDimensionError(
+            f"batch points off the sphere by {dev:.3e} (relative tol 1e-10)"
+        )
 
 
 @dataclass(frozen=True)
@@ -43,16 +61,7 @@ class Batch:
         vals = np.asarray(self.target_values, dtype=np.float64)
         if pts.shape[0] < 1:
             raise EmptyBatchError("batch must contain at least one point")
-        if vals.shape != (pts.shape[0],):
-            raise InvalidDimensionError(
-                f"target_values shape {vals.shape} does not match {pts.shape[0]} points"
-            )
-        radius = np.sqrt(pts.shape[1])
-        dev = np.max(np.abs(np.linalg.norm(pts, axis=1) - radius))
-        if dev > 1e-10 * radius:
-            raise InvalidDimensionError(
-                f"batch points off the sphere by {dev:.3e} (relative tol 1e-10)"
-            )
+        _check_batch(pts, vals, np.empty(pts.shape[0]), np.empty(pts.shape))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "target_values", vals)
 
@@ -121,9 +130,14 @@ def signed_error_summary(e: ParticleEnsemble, batch: Batch) -> tuple[float, floa
 _PAIR_CHUNK_ENTRIES = 1 << 21
 
 
+def _block_rows(n: int) -> int:
+    """Rows of n entries in one block of _PAIR_CHUNK_ENTRIES entries."""
+    return max(1, _PAIR_CHUNK_ENTRIES // max(1, n))
+
+
 def _pair_block(n: int) -> np.ndarray:
     """Scratch for one row block of the n x n pair kernel."""
-    return np.empty((min(n, max(1, _PAIR_CHUNK_ENTRIES // max(1, n))), n))
+    return np.empty((min(n, _block_rows(n)), n))
 
 
 def _rbf_pair_sums_into(alpha: float, Z: np.ndarray, rhs: tuple, outs: tuple,

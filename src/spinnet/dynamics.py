@@ -33,22 +33,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import (
-    _PAIR_CHUNK_ENTRIES,
     Batch,
+    EmptyBatchError,
     ExperimentReport,
     REPORT_COLUMNS,
+    _block_rows,
+    _check_batch,
     _pair_block,
     _rbf_pair_sums_into,
     batch_residual,
-    draw_batch,
     rbf_exact_loss,
     residual_loss,
     residual_signed_split,
 )
-from .geometry import _retract_into, _sq_norms_into, _tangent_project_into, tangent_project_rows
+from .geometry import (
+    _retract_into,
+    _sphere_rows_into,
+    _sq_norms_into,
+    _tangent_project_into,
+    tangent_project_rows,
+)
 from .rng import generator_for, stream
 from .targets import (
     _SPIN3_CHUNK,
+    DimensionMismatchError,
     PlantedTarget,
     SpinTensor,
     _spin3_eval_into,
@@ -303,9 +311,14 @@ class _Workspace:
     c and Z hold the current ensemble and are updated in place by apply().
     flow_drift() writes the exact-flow drift of the current state into
     dc and dZ (RBF ensembles only; exact=True allocates its buffers).
+    draw() fills the workspace's batch of up to `batch` points, and
+    batch_drift() writes the SGD drift of such a batch (or of a caller's)
+    into dc and dZ, walking it in feature blocks of _PAIR_CHUNK_ENTRIES
+    entries.
     """
 
-    def __init__(self, unit, c: np.ndarray, Z: np.ndarray, exact: bool = False):
+    def __init__(self, unit, c: np.ndarray, Z: np.ndarray, exact: bool = False,
+                 batch: int = 0):
         n, p = Z.shape
         self.unit, self.n = unit, n
         self.c, self.Z = c.copy(), Z.copy()
@@ -315,13 +328,24 @@ class _Workspace:
         if unit.constrained:
             self.zz, self.coef, self.nrm, self.scale = (np.empty(n) for _ in range(4))
             self.V, self.U = np.empty((n, p)), np.empty((n, p))
+        if exact or batch > 0:
+            self.dc, self.dZ = np.empty(n), np.empty((n, p))
         if exact:
             block = min(n, _SPIN3_CHUNK)
             self.m1, self.m2 = np.empty((block, p * p)), np.empty((block, 1, p))
             self.t1 = np.empty((n, p * p))
-            self.fz, self.g, self.dc, self.cn = (np.empty(n) for _ in range(4))
-            self.gradf, self.cZ, self.gcz, self.dZ = (np.empty((n, p)) for _ in range(4))
+            self.fz, self.g, self.cn = (np.empty(n) for _ in range(3))
+            self.gradf, self.cZ, self.gcz = (np.empty((n, p)) for _ in range(3))
             self.ZT, self.F = np.empty((p, n)), _pair_block(n)
+        if batch > 0:
+            rows = min(batch, _block_rows(n))
+            self.feat, self.WF, self.S = (np.empty((rows, n)) for _ in range(3))
+            self.net = np.empty(rows)
+            self.acc, self.gsum = np.empty((n, p)), np.empty((n, p))
+            d, block = unit.d, min(batch, _SPIN3_CHUNK)
+            self.X, self.xtmp = np.empty((batch, d)), np.empty((batch, d))
+            self.y, self.xn = np.empty(batch), np.empty(batch)
+            self.xm1, self.xm2 = np.empty((block, d * d)), np.empty((block, 1, d))
 
     def ensemble(self) -> ParticleEnsemble:
         return ParticleEnsemble(unit=self.unit, c=self.c, z=self.Z)
@@ -347,6 +371,54 @@ class _Workspace:
         np.multiply(self.cn[:, None], self.gcz, out=self.tmp)
         np.subtract(dZ, self.tmp, out=dZ)
         return dc, dZ
+
+    def draw(self, target, P: int, gen: np.random.Generator):
+        """(X, y): P fresh uniform points on the sphere and their target
+        values, in the workspace; draws as draw_batch(target, d, P, gen)."""
+        if P < 1:
+            raise EmptyBatchError(f"batch size must be >= 1, got {P}")
+        d = self.unit.d
+        X = _sphere_rows_into(d, gen, self.X[:P], self.xn[:P], self.xtmp[:P])
+        y = self.y[:P]
+        if isinstance(target, SpinTensor):
+            if target.d != d:
+                raise DimensionMismatchError(f"points have d = {d}, tensor d = {target.d}")
+            vals = _spin3_eval_into(target, X, y, self.xm1, self.xm2)
+        else:
+            vals = np.asarray(evaluate_target(target, X), dtype=np.float64)
+        _check_batch(X, vals, self.xn[:P], self.xtmp[:P])
+        if vals is not y:
+            y[:] = vals
+        return X, y
+
+    def batch_drift(self, X: np.ndarray, y: np.ndarray):
+        """SGD drift (dc, dZ) of the batch (X, y) at the current state and
+        the batch loss: residual-weighted feature averages."""
+        unit, c, Z, n = self.unit, self.c, self.Z, self.n
+        P = X.shape[0]
+        dc, acc = self.dc, self.acc
+        # every block, the first too, is added to zeroed sums, so a -0.0
+        # block sum comes out as +0.0
+        dc.fill(0.0)
+        acc.fill(0.0)
+        ss = 0.0
+        rows = self.feat.shape[0]
+        for lo in range(0, P, rows):
+            Xb = X[lo : lo + rows]
+            k = Xb.shape[0]
+            F = unit._features_into(Xb, Z, self.feat[:k], self.S[:k])
+            # r = y - F c / n
+            r = np.matmul(F, c, out=self.net[:k])
+            r /= n
+            np.subtract(y[lo : lo + rows], r, out=r)
+            dc += np.matmul(F.T, r, out=self.inc_c)
+            WF = np.multiply(r[:, None], F, out=self.WF[:k])
+            acc += unit._grad_sum_into(Xb, WF, F, self.gsum, self.S[:k])
+            ss += float(np.dot(r, r))
+        dc /= P
+        acc /= P
+        np.multiply(self.c_col, acc, out=self.dZ)
+        return dc, self.dZ, 0.5 * ss / P
 
     def flow_loss(self) -> float:
         """Pair loss of the state seen by the last flow_drift() call; valid
@@ -412,27 +484,6 @@ def _add_prior(prior, inv: float, dc, dZ, c, Z, unit):
     return dc, dZ
 
 
-def _sgd_drift(unit, c, Z, batch: Batch):
-    """Residual-weighted batch averages; returns (dc, dZ, batch_loss)."""
-    n = c.size
-    X, y = batch.points, batch.target_values
-    P = X.shape[0]
-    dc = np.zeros(n)
-    acc = np.zeros((n, unit.param_dim))
-    ss = 0.0
-    rows = max(1, _PAIR_CHUNK_ENTRIES // max(1, n))
-    for lo in range(0, P, rows):
-        Xc, yc = X[lo : lo + rows], y[lo : lo + rows]
-        F = unit.features(Xc, Z)
-        r = yc - (F @ c) / n
-        dc += F.T @ r
-        acc += unit.weighted_grad_sum(Xc, Z, r[:, None], feats=F)
-        ss += float(np.dot(r, r))
-    dc /= P
-    dZ = c[:, None] * (acc / P)
-    return dc, dZ, 0.5 * ss / P
-
-
 def rbf_flow_step(e: ParticleEnsemble, target, dt: float) -> ParticleEnsemble:
     """One Euler step of the exact descent flow (RBF ensembles only)."""
     if not isinstance(e.unit, RbfUnit):
@@ -447,7 +498,8 @@ def rbf_flow_step(e: ParticleEnsemble, target, dt: float) -> ParticleEnsemble:
 
 def sgd_drift(e: ParticleEnsemble, batch: Batch):
     """(dc, dZ) ambient drift for a given batch (no step applied)."""
-    dc, dZ, _ = _sgd_drift(e.unit, e.c, e.z, batch)
+    ws = _Workspace(e.unit, e.c, e.z, batch=batch.P)
+    dc, dZ, _ = ws.batch_drift(batch.points, batch.target_values)
     return dc, dZ
 
 
@@ -456,9 +508,8 @@ def sgd_step(e: ParticleEnsemble, target, P: int, dt: float, rng) -> ParticleEns
     if dt < 0:
         raise ScheduleError(f"dt must be >= 0, got {dt}")
     gen = generator_for(rng)
-    batch = draw_batch(target, e.unit.d, P, gen)
-    dc, dZ, _ = _sgd_drift(e.unit, e.c, e.z, batch)
-    ws = _Workspace(e.unit, e.c, e.z)
+    ws = _Workspace(e.unit, e.c, e.z, batch=P)
+    dc, dZ, _ = ws.batch_drift(*ws.draw(target, P, gen))
     ws.apply(dc, dZ, dt, 0)
     return ws.ensemble()
 
@@ -487,12 +538,11 @@ def langevin_step(
     exact = batch_size is None
     if exact and not isinstance(e.unit, RbfUnit):
         raise ScheduleError("exact-drift langevin requires an RBF ensemble")
-    ws = _Workspace(e.unit, e.c, e.z, exact=exact)
+    ws = _Workspace(e.unit, e.c, e.z, exact=exact, batch=batch_size or 0)
     if exact:
         dc, dZ = ws.flow_drift(target)
     else:
-        batch = draw_batch(target, e.unit.d, batch_size, gen)
-        dc, dZ, _ = _sgd_drift(e.unit, e.c, e.z, batch)
+        dc, dZ, _ = ws.batch_drift(*ws.draw(target, batch_size, gen))
     if math.isinf(beta):
         ws.apply(dc, dZ, dt, 0)
     else:
@@ -545,7 +595,8 @@ def run_schedule(
     if exact_flow and not isinstance(unit, RbfUnit):
         raise ScheduleError("batch-free dynamics requires an RBF ensemble")
     n = e0.n
-    ws = _Workspace(unit, e0.c, e0.z, exact=exact_flow)
+    P_max = max((P for _, P in cfg.batch_schedule), default=0)
+    ws = _Workspace(unit, e0.c, e0.z, exact=exact_flow, batch=P_max)
     c, Z = ws.c, ws.Z
     seed = cfg.master_seed
     beta = cfg.beta
@@ -613,8 +664,8 @@ def run_schedule(
             P = _active(cfg.batch_schedule, k, None)
             if P is None:
                 raise ScheduleError(f"no batch size active at step {k}")
-            batch = draw_batch(target, unit.d, P, stream(seed, "batch", k))
-            dc, dZ, last_batch_loss = _sgd_drift(unit, c, Z, batch)
+            X, y = ws.draw(target, P, stream(seed, "batch", k).generator())
+            dc, dZ, last_batch_loss = ws.batch_drift(X, y)
 
         if langevin and inv_beta_n > 0.0:
             dc, dZ = _add_prior(prior, inv_beta_n, dc, dZ, c, Z, unit)
@@ -694,6 +745,15 @@ def load_checkpoint(path) -> tuple[ParticleEnsemble, int, dict]:
             blob = json.load(fh)
         except json.JSONDecodeError as err:
             raise ScheduleError(f"{path}: not a checkpoint ({err})") from None
-    if blob.get("schema") != CHECKPOINT_SCHEMA:
-        raise ScheduleError(f"unsupported checkpoint schema: {blob.get('schema')!r}")
-    return ParticleEnsemble.from_dict(blob["ensemble"]), int(blob["step"]), blob["meta"]
+    if not isinstance(blob, dict) or blob.get("schema") != CHECKPOINT_SCHEMA:
+        schema = blob.get("schema") if isinstance(blob, dict) else None
+        raise ScheduleError(f"unsupported checkpoint schema: {schema!r}")
+    for key, kind in (("step", int), ("meta", dict), ("ensemble", dict)):
+        val = blob.get(key)
+        if not isinstance(val, kind) or isinstance(val, bool):
+            raise ScheduleError(f"{path}: checkpoint {key!r} is missing or not a {kind.__name__}")
+    try:
+        ensemble = ParticleEnsemble.from_dict(blob["ensemble"])
+    except (KeyError, TypeError) as err:
+        raise ScheduleError(f"{path}: malformed checkpoint ensemble ({err!r})") from None
+    return ensemble, blob["step"], blob["meta"]

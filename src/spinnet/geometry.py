@@ -51,6 +51,21 @@ class SpherePoint:
         object.__setattr__(self, "d", coords.size)
 
 
+def _sphere_rows_into(d: int, gen: np.random.Generator, X: np.ndarray, nrm: np.ndarray,
+                      tmp: np.ndarray) -> np.ndarray:
+    """Fill the (size, d) array X with i.i.d. uniform points on
+    S^{d-1}(sqrt(d)); nrm (size,) and tmp (size, d) are scratch."""
+    gen.standard_normal(out=X)
+    nrm = np.sqrt(_sq_norms_into(X, nrm, tmp), out=nrm)
+    while (nrm < 1e-12).any():
+        bad = nrm < 1e-12
+        X[bad] = gen.standard_normal((int(bad.sum()), d))
+        nrm = np.sqrt(_sq_norms_into(X, nrm, tmp), out=nrm)
+    # divide directly (not reciprocal-multiply) so d=1 gives exactly +-1
+    np.multiply(X, np.sqrt(d), out=X)
+    return np.divide(X, nrm[:, None], out=X)
+
+
 def sample_sphere_rows(d: int, size: int, rng) -> np.ndarray:
     """(size, d) array of i.i.d. uniform points on S^{d-1}(sqrt(d)).
 
@@ -60,14 +75,7 @@ def sample_sphere_rows(d: int, size: int, rng) -> np.ndarray:
     if d < 1:
         raise InvalidDimensionError(f"d must be >= 1, got {d}")
     gen = generator_for(rng)
-    X = gen.standard_normal((size, d))
-    nrm = np.linalg.norm(X, axis=1)
-    while np.any(nrm < 1e-12):
-        bad = nrm < 1e-12
-        X[bad] = gen.standard_normal((int(bad.sum()), d))
-        nrm = np.linalg.norm(X, axis=1)
-    # divide directly (not reciprocal-multiply) so d=1 gives exactly +-1
-    return X * np.sqrt(d) / nrm[:, None]
+    return _sphere_rows_into(d, gen, np.empty((size, d)), np.empty(size), np.empty((size, d)))
 
 
 def sample_sphere(d: int, rng: RngStream | np.random.Generator) -> SpherePoint:

@@ -30,19 +30,26 @@ class UnitMismatchError(ValueError):
     pass
 
 
-def _logistic(u: np.ndarray) -> np.ndarray:
-    """h(u) for a fresh array u (0-d included), which is overwritten.
+def _logistic_into(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = h(u); u is overwritten and out must be a different array.
 
     exp is only ever taken of a non-positive argument, so nothing overflows.
+    With e = exp(-|u|) in [0, 1], max(e, [u >= 0]) selects 1 where u >= 0
+    and e elsewhere (NaN included) without a data-dependent branch.
     """
-    pos = u >= 0.0
+    np.greater_equal(u, 0.0, out=out)
     e = np.abs(u, out=u)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(pos, 1.0, e)
+    np.maximum(e, out, out=out)
     e += 1.0
     out /= e
     return out
+
+
+def _logistic(u: np.ndarray) -> np.ndarray:
+    """h(u) for a fresh array u (0-d included), which is overwritten."""
+    return _logistic_into(u, np.empty_like(u))
 
 
 @dataclass(frozen=True)
@@ -89,11 +96,17 @@ class RbfUnit:
                 f"rbf particle positions off the sphere by {dev:.3e} (relative tol 1e-10)"
             )
 
-    def features(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """(P, n) matrix phihat(x_p, z_i) = exp(alpha * x_p . z_i)."""
-        F = np.atleast_2d(X) @ np.atleast_2d(Z).T
+    def _features_into(self, X: np.ndarray, Z: np.ndarray, out: np.ndarray,
+                       scratch: np.ndarray | None = None) -> np.ndarray:
+        """out = exp(alpha X Z^T) for 2-d X and Z; scratch is not used."""
+        F = np.matmul(X, Z.T, out=out)
         F *= self.alpha
         return np.exp(F, out=F)
+
+    def features(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """(P, n) matrix phihat(x_p, z_i) = exp(alpha * x_p . z_i)."""
+        X, Z = np.atleast_2d(X), np.atleast_2d(Z)
+        return self._features_into(X, Z, np.empty((X.shape[0], Z.shape[0])))
 
     def eval_one(self, x: np.ndarray, z: np.ndarray) -> float:
         return float(np.exp(self.alpha * float(np.dot(x, z))))
@@ -108,11 +121,17 @@ class RbfUnit:
         F = self.features(X, Z)
         return self.alpha * X[:, None, :] * F[:, :, None]
 
+    def _grad_sum_into(self, X: np.ndarray, WF: np.ndarray, F: np.ndarray,
+                       out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """out = rows sum_p WF[p,i] alpha x_p, given WF = W * F with F the
+        features of X; F and scratch are not used."""
+        np.matmul(WF.T, X, out=out)
+        out *= self.alpha
+        return out
+
     def weighted_grad_sum(self, X, Z, W, feats=None) -> np.ndarray:
         """(n, d) rows sum_p W[p,i] * d/dz phihat(x_p, z_i)."""
-        if feats is None:
-            feats = self.features(X, Z)
-        return self.alpha * ((W * feats).T @ np.atleast_2d(X))
+        return _weighted_grad_sum(self, X, Z, W, feats)
 
     def grad_input(self, X: np.ndarray, z: np.ndarray) -> np.ndarray:
         """(P, d) rows d/dx phihat(x_p, z) = alpha * z * phihat."""
@@ -154,15 +173,17 @@ class SigmoidUnit:
                 f"params have dim {Z.shape[1]}, expected {self.param_dim}"
             )
 
-    def _preact(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        Z = np.atleast_2d(Z)
-        U = X @ Z[:, : self.d].T
+    def _features_into(self, X: np.ndarray, Z: np.ndarray, out: np.ndarray,
+                       scratch: np.ndarray) -> np.ndarray:
+        """out = h(a.x + b) for 2-d X and Z; scratch has out's shape."""
+        U = np.matmul(X, Z[:, : self.d].T, out=scratch)
         U += Z[:, self.d]
-        return U
+        return _logistic_into(U, out)
 
     def features(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        return _logistic(self._preact(X, Z))
+        X, Z = np.atleast_2d(X), np.atleast_2d(Z)
+        shape = (X.shape[0], Z.shape[0])
+        return self._features_into(X, Z, np.empty(shape), np.empty(shape))
 
     def eval_one(self, x: np.ndarray, z: np.ndarray) -> float:
         u = float(np.dot(x, z[: self.d]) + z[self.d])
@@ -185,14 +206,18 @@ class SigmoidUnit:
         out[:, :, self.d] = D
         return out
 
-    def weighted_grad_sum(self, X, Z, W, feats=None) -> np.ndarray:
-        if feats is None:
-            feats = self.features(X, Z)
-        WD = W * feats * (1.0 - feats)
-        out = np.empty((WD.shape[1], self.param_dim))
-        out[:, : self.d] = WD.T @ np.atleast_2d(X)
-        out[:, self.d] = np.sum(WD, axis=0)
+    def _grad_sum_into(self, X: np.ndarray, WF: np.ndarray, F: np.ndarray,
+                       out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """out = rows sum_p WF[p,i] (1 - F[p,i]) (x_p, 1), given WF = W * F
+        with F the features of X; WF is overwritten, scratch has its shape."""
+        WD = np.multiply(WF, np.subtract(1.0, F, out=scratch), out=WF)
+        np.matmul(WD.T, X, out=out[:, : self.d])
+        np.add.reduce(WD, axis=0, out=out[:, self.d])
         return out
+
+    def weighted_grad_sum(self, X, Z, W, feats=None) -> np.ndarray:
+        """(n, d + 1) rows sum_p W[p,i] * d/dz phihat(x_p, z_i)."""
+        return _weighted_grad_sum(self, X, Z, W, feats)
 
     def grad_input(self, X: np.ndarray, z: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
@@ -210,6 +235,15 @@ class SigmoidUnit:
 
     def to_dict(self) -> dict:
         return {"kind": "sigmoid", "d": self.d}
+
+
+def _weighted_grad_sum(unit, X, Z, W, feats) -> np.ndarray:
+    X = np.atleast_2d(X)
+    if feats is None:
+        feats = unit.features(X, Z)
+    WF = W * feats
+    out = np.empty((WF.shape[1], unit.param_dim))
+    return unit._grad_sum_into(X, WF, feats, out, np.empty(WF.shape))
 
 
 def unit_from_dict(blob: dict):

@@ -405,6 +405,26 @@ def test_corrupt_input_files_exit_1(tmp_path):
     assert code == 1 and stderr_json(err)["error"] == "ReportError"
 
 
+@pytest.mark.parametrize("drop", ["tensor", "ensemble", "step", "meta"])
+def test_slice_thin_checkpoint_exits_1(train_dir, tmp_path, drop):
+    # a checkpoint missing a field is a validation failure with one JSON
+    # error line, not a KeyError traceback
+    out, _ = train_dir
+    with open(os.path.join(out, "ckpt_n4_r0_s0.json")) as fh:
+        blob = json.load(fh)
+    if drop == "tensor":
+        del blob["meta"]["tensor"]
+    else:
+        del blob[drop]
+    ckpt = tmp_path / "ckpt_thin.json"
+    ckpt.write_text(json.dumps(blob))
+    code, stdout, err = run_cli(["slice", str(ckpt)])
+    assert code == 1 and stdout == ""
+    assert len(err.strip().splitlines()) == 1
+    assert stderr_json(err)["error"] == "ScheduleError"
+    assert repr(drop) in stderr_json(err)["message"]
+
+
 def test_experiment_slice_needs_checkpoint(tiny_cfg, tmp_path):
     code, _, err = run_cli(["train", "--config", tiny_cfg,
                             "--set", "experiment=slice",

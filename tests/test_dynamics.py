@@ -469,6 +469,93 @@ def test_exact_flow_resume_at_noise_switch_is_bit_exact(monkeypatch, pair_block)
     assert np.array_equal(resumed.z, direct.z)
 
 
+@pytest.mark.parametrize(
+    "unit, kind, dt, seed, pinned",
+    [
+        (SigmoidUnit(d=3), "sgd", 1e300, 47, (1, 0, "weight")),
+        (RbfUnit(alpha=1.0, d=3), "sgd", 1e150, 47, (0, 0, "position")),
+        (SigmoidUnit(d=3), "langevin", 1e50, 46, (6, 0, "weight")),
+        (RbfUnit(alpha=1.0, d=3), "langevin", 30.0, 46, (29, 0, "position")),
+    ],
+    ids=["sgd-sigmoid", "sgd-rbf", "langevin-sigmoid", "langevin-rbf"],
+)
+def test_batch_step_failure_is_pinned(unit, kind, dt, seed, pinned):
+    # (step, particle, quantity) of the first failure of a batch step, as
+    # recorded before the batch step moved onto the per-run workspace
+    t = SpinTensor.sample(unit.d, seed)
+    extra = {"beta": 100.0} if kind == "langevin" else {}
+    cfg = TrainConfig(dt=dt, steps=40, dynamics=kind, batch_schedule=((0, 8),),
+                      init=InitSpec(c_law=("uniform", -1e3, 1e3)), master_seed=seed, **extra)
+    e0 = cfg.init.sample(unit, 4, stream(cfg.master_seed, "init"))
+    with np.errstate(all="ignore"), pytest.raises(StepFailure) as err:
+        run_schedule(cfg, e0, t, DiagnosticPlan())
+    assert (err.value.step, err.value.particle, err.value.what) == pinned
+    step, particle, what = pinned
+    assert str(err.value) == f"non-finite {what} at step {step}, particle {particle}"
+
+
+def _quench_cfg(steps, seed=61):
+    return TrainConfig(dt=1e-2, steps=steps, dynamics="sgd", init=InitSpec(c_law="normal"),
+                       master_seed=seed, batch_schedule=((0, 12), (15, 40)))
+
+
+@pytest.mark.parametrize("pair_block", [None, 64])
+@pytest.mark.parametrize("unit", [RbfUnit(alpha=1.0, d=5), SigmoidUnit(d=5)],
+                         ids=["rbf", "sigmoid"])
+def test_run_schedule_equals_repeated_sgd_steps_bitwise(monkeypatch, unit, pair_block):
+    # the schedule runner and the public step function share one batch
+    # step; 64-entry blocks split each batch into 3 (P=12) to 10 (P=40)
+    # feature blocks of 4 rows
+    if pair_block is not None:
+        monkeypatch.setattr(diag, "_PAIR_CHUNK_ENTRIES", pair_block)
+    n = 16
+    t = SpinTensor.sample(unit.d, 61)
+    cfg = _quench_cfg(30)
+    e0 = cfg.init.sample(unit, n, stream(cfg.master_seed, "init"))
+    final, _ = run_schedule(cfg, e0, t, DiagnosticPlan())
+    e = e0
+    for k in range(cfg.steps):
+        P = 12 if k < 15 else 40
+        e = sgd_step(e, t, P, cfg.dt, stream(cfg.master_seed, "batch", k))
+    assert not np.array_equal(final.c, e0.c)
+    assert np.array_equal(final.c, e.c)
+    assert np.array_equal(final.z, e.z)
+
+
+@pytest.mark.parametrize("unit", [RbfUnit(alpha=1.0, d=5), SigmoidUnit(d=5)],
+                         ids=["rbf", "sigmoid"])
+def test_sgd_resume_at_quench_step_is_bit_exact(unit):
+    t = SpinTensor.sample(unit.d, 67)
+    e0 = _quench_cfg(30, seed=67).init.sample(unit, 16, stream(67, "init"))
+    mid, _ = run_schedule(_quench_cfg(15, seed=67), e0, t, DiagnosticPlan())
+    resumed, r_res = run_schedule(_quench_cfg(30, seed=67), mid, t,
+                                  DiagnosticPlan(probe_every=5), start_step=15)
+    direct, r_dir = run_schedule(_quench_cfg(30, seed=67), e0, t, DiagnosticPlan(probe_every=5))
+    assert np.array_equal(resumed.c, direct.c)
+    assert np.array_equal(resumed.z, direct.z)
+    assert r_res.series["P"].tolist() == [40, 40, 40]
+    tail = r_dir.series["step"] > 15
+    assert np.array_equal(r_res.series["batch_loss"], r_dir.series["batch_loss"][tail])
+
+
+def test_sgd_drift_reads_the_batch_in_place_over_blocks(monkeypatch):
+    # blocks of 4 rows walk the batch's own arrays; the drift matches the
+    # single-block one to roundoff and leaves the batch untouched
+    d, n, P = 4, 16, 30
+    unit = SigmoidUnit(d=d)
+    t = SpinTensor.sample(d, 71)
+    e = InitSpec(c_law="normal").sample(unit, n, stream(71, "init"))
+    batch = draw_batch(t, d, P, stream(71, "batch"))
+    points, values = batch.points.copy(), batch.target_values.copy()
+    dc1, dZ1 = sgd_drift(e, batch)
+    monkeypatch.setattr(diag, "_PAIR_CHUNK_ENTRIES", 64)
+    dc8, dZ8 = sgd_drift(e, batch)
+    assert np.array_equal(batch.points, points)
+    assert np.array_equal(batch.target_values, values)
+    assert np.allclose(dc8, dc1, rtol=1e-13, atol=1e-15)
+    assert np.allclose(dZ8, dZ1, rtol=1e-13, atol=1e-15)
+
+
 def test_missing_batch_schedule_segment():
     with pytest.raises(ScheduleError):
         sgd_cfg(10, schedule=())

@@ -89,6 +89,28 @@ def test_sigmoid_features_are_overflow_safe_on_arrays():
     assert np.array_equal(F, np.array([[1.0, 0.0]] * 3))
 
 
+def _logistic_where_reference(u):
+    # the select written with np.where: 1 where u >= 0, exp(-|u|) elsewhere
+    u = np.asarray(u, dtype=np.float64)
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def test_logistic_matches_the_where_select_bitwise():
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 1e4, -1e4,
+             5e-324, -5e-324, 36.0, -36.0, 710.0, -710.0]
+    rand = stream(4, "u").generator().standard_normal(2000) * 20.0
+    u = np.concatenate([edges, rand])
+    with np.errstate(over="raise"):
+        got = units._logistic(u.copy())
+    assert got.tobytes() == _logistic_where_reference(u).tobytes()
+    for v in (0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 3.25, -3.25):
+        got = units._logistic(np.asarray(v))
+        assert got.shape == ()
+        assert got.tobytes() == _logistic_where_reference(v).tobytes()
+    assert units._logistic(np.asarray(-745.0)) > 0.0  # exp(-745) is subnormal, not 0
+
+
 # -- parameter gradients ------------------------------------------------------
 
 def test_rbf_grad_alpha_zero():
