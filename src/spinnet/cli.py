@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .diagnostics import ReportError, great_circle_slice, two_angle_slice
+from .diagnostics import ReportError, _atomic_write, great_circle_slice, two_angle_slice
 from .dynamics import ScheduleError, StepFailure, load_checkpoint
 from .experiments import (
     ConfigError,
@@ -125,7 +125,9 @@ def _cmd_gradcheck(args) -> int:
     return _run_spec_command(args, {"experiment": "gradcheck"})
 
 
-def _slice_to_csv(fh, cols: dict) -> None:
+def _slice_to_csv(fh, header: dict, cols: dict) -> None:
+    fh.write("# spinnet-slice v1\n")
+    fh.write("# meta " + json.dumps(header, sort_keys=True) + "\n")
     names = list(cols)
     fh.write(",".join(names) + "\n")
     arrays = [np.asarray(cols[k]) for k in names]
@@ -152,14 +154,10 @@ def _cmd_slice(args) -> int:
         "master_seed": meta.get("master_seed"),
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("# spinnet-slice v1\n")
-            fh.write("# meta " + json.dumps(header, sort_keys=True) + "\n")
-            _slice_to_csv(fh, cols)
+        with _atomic_write(args.out) as fh:
+            _slice_to_csv(fh, header, cols)
     else:
-        sys.stdout.write("# spinnet-slice v1\n")
-        sys.stdout.write("# meta " + json.dumps(header, sort_keys=True) + "\n")
-        _slice_to_csv(sys.stdout, cols)
+        _slice_to_csv(sys.stdout, header, cols)
     return 0
 
 

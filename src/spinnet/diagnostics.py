@@ -13,6 +13,8 @@ Conventions:
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,14 +33,35 @@ class ReportError(ValueError):
     pass
 
 
-def _check_batch(pts: np.ndarray, vals: np.ndarray, nrm: np.ndarray, tmp: np.ndarray) -> None:
-    """Raise InvalidDimensionError unless vals holds one value per row of
-    pts and every row lies on S^{d-1}(sqrt(d)) (relative tol 1e-10); nrm
-    (P,) and tmp (P, d) are scratch."""
+@contextmanager
+def _atomic_write(path):
+    """Text handle on a temp file next to path that replaces path when the
+    block ends; if the block raises, the temp file is removed and path is
+    left as it was."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _check_values(pts: np.ndarray, vals: np.ndarray) -> None:
+    """Raise InvalidDimensionError unless vals holds one value per row of pts."""
     if vals.shape != (pts.shape[0],):
         raise InvalidDimensionError(
             f"target_values shape {vals.shape} does not match {pts.shape[0]} points"
         )
+
+
+def _check_on_sphere(pts: np.ndarray, nrm: np.ndarray, tmp: np.ndarray) -> None:
+    """Raise InvalidDimensionError unless every row of pts lies on
+    S^{d-1}(sqrt(d)) (relative tol 1e-10); nrm (P,) and tmp (P, d) are
+    scratch."""
     radius = np.sqrt(pts.shape[1])
     dev = np.sqrt(_sq_norms_into(pts, nrm, tmp), out=nrm)
     dev -= radius
@@ -61,7 +84,8 @@ class Batch:
         vals = np.asarray(self.target_values, dtype=np.float64)
         if pts.shape[0] < 1:
             raise EmptyBatchError("batch must contain at least one point")
-        _check_batch(pts, vals, np.empty(pts.shape[0]), np.empty(pts.shape))
+        _check_values(pts, vals)
+        _check_on_sphere(pts, np.empty(pts.shape[0]), np.empty(pts.shape))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "target_values", vals)
 
@@ -379,7 +403,7 @@ class ExperimentReport:
         return len(self.series["step"])
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
+        with _atomic_write(path) as fh:
             fh.write(f"# spinnet-report v{REPORT_SCHEMA}\n")
             fh.write("# meta " + json.dumps(self.meta, sort_keys=True) + "\n")
             fh.write("# summaries " + json.dumps(self.summaries, sort_keys=True) + "\n")

@@ -37,8 +37,10 @@ from .diagnostics import (
     EmptyBatchError,
     ExperimentReport,
     REPORT_COLUMNS,
+    _atomic_write,
     _block_rows,
-    _check_batch,
+    _check_on_sphere,
+    _check_values,
     _pair_block,
     _rbf_pair_sums_into,
     batch_residual,
@@ -47,13 +49,15 @@ from .diagnostics import (
     residual_signed_split,
 )
 from .geometry import (
+    _redraw_short_rows,
     _retract_into,
-    _sphere_rows_into,
+    _scale_to_sphere,
+    _short_rows,
     _sq_norms_into,
     _tangent_project_into,
     tangent_project_rows,
 )
-from .rng import generator_for, stream
+from .rng import _StepStreams, generator_for
 from .targets import (
     _SPIN3_CHUNK,
     DimensionMismatchError,
@@ -64,9 +68,16 @@ from .targets import (
     evaluate_target,
     target_grad_rows,
 )
-from .units import ParticleEnsemble, RbfUnit
+from .units import _EVAL_BLOCK_ENTRIES, ParticleEnsemble, RbfUnit
 
 DYNAMICS_KINDS = ("gd", "sgd", "langevin")
+
+# A run draws the batches of consecutive steps into one window of up to
+# this many normal entries (at least one batch), and normalizes and checks
+# them in one pass.
+_WINDOW_ENTRIES = _EVAL_BLOCK_ENTRIES
+# Steps whose noise seed states one table holds.
+_NOISE_TABLE_STEPS = 256
 
 
 class ScheduleError(ValueError):
@@ -311,14 +322,15 @@ class _Workspace:
     c and Z hold the current ensemble and are updated in place by apply().
     flow_drift() writes the exact-flow drift of the current state into
     dc and dZ (RBF ensembles only; exact=True allocates its buffers).
-    draw() fills the workspace's batch of up to `batch` points, and
-    batch_drift() writes the SGD drift of such a batch (or of a caller's)
-    into dc and dZ, walking it in feature blocks of _PAIR_CHUNK_ENTRIES
-    entries.
+    draw_window() fills a window of `window` rows (default `batch`) with the
+    batches of consecutive steps, batch_at() returns one of them with its
+    target values, and batch_drift() writes the SGD drift of a batch of up
+    to `batch` points (or of a caller's) into dc and dZ, walking it in
+    feature blocks of _PAIR_CHUNK_ENTRIES entries.
     """
 
     def __init__(self, unit, c: np.ndarray, Z: np.ndarray, exact: bool = False,
-                 batch: int = 0):
+                 batch: int = 0, window: int = 0):
         n, p = Z.shape
         self.unit, self.n = unit, n
         self.c, self.Z = c.copy(), Z.copy()
@@ -343,8 +355,9 @@ class _Workspace:
             self.net = np.empty(rows)
             self.acc, self.gsum = np.empty((n, p)), np.empty((n, p))
             d, block = unit.d, min(batch, _SPIN3_CHUNK)
-            self.X, self.xtmp = np.empty((batch, d)), np.empty((batch, d))
-            self.y, self.xn = np.empty(batch), np.empty(batch)
+            window = max(window, batch)
+            self.X, self.xtmp = np.empty((window, d)), np.empty((window, d))
+            self.xn, self.y = np.empty(window), np.empty(batch)
             self.xm1, self.xm2 = np.empty((block, d * d)), np.empty((block, 1, d))
 
     def ensemble(self) -> ParticleEnsemble:
@@ -372,13 +385,41 @@ class _Workspace:
         np.subtract(dZ, self.tmp, out=dZ)
         return dc, dZ
 
-    def draw(self, target, P: int, gen: np.random.Generator):
-        """(X, y): P fresh uniform points on the sphere and their target
-        values, in the workspace; draws as draw_batch(target, d, P, gen)."""
+    def draw_window(self, P: int, count: int, gen_at, replay: bool = True) -> None:
+        """Fill the first count * P window rows with count batches of P
+        uniform points on S^{d-1}(sqrt(d)), batch i drawn from gen_at(i) as
+        _sphere_rows_into draws it, then check them on the sphere.
+
+        gen_at(i) returns the generator at the start of batch i's stream.
+        For a batch with a row below the norm floor it is called again, the
+        batch's first draw is replayed from it, and the redraw loop runs on
+        the batch.  replay=False (count 1) is for a generator that cannot be
+        rewound, such as a caller's: the redraw loop continues from where
+        the first draw left it.
+        """
         if P < 1:
             raise EmptyBatchError(f"batch size must be >= 1, got {P}")
+        d, rows = self.unit.d, P * count
+        X, nrm, tmp = self.X[:rows], self.xn[:rows], self.xtmp[:rows]
+        for i in range(count):
+            gen_at(i).standard_normal(out=X[i * P : (i + 1) * P])
+        nrm = np.sqrt(_sq_norms_into(X, nrm, tmp), out=nrm)
+        short = _short_rows(nrm)
+        if short.any():
+            for i in np.unique(np.flatnonzero(short) // P).tolist():
+                rows_i = slice(i * P, (i + 1) * P)
+                gen = gen_at(i)
+                if replay:
+                    gen.standard_normal(out=X[rows_i])
+                _redraw_short_rows(d, gen, X[rows_i], nrm[rows_i], tmp[rows_i])
+        _scale_to_sphere(X, nrm)
+        _check_on_sphere(X, nrm, tmp)
+
+    def batch_at(self, target, i: int, P: int):
+        """(X, y): batch i of the last draw_window(P, ...) and its target
+        values, y in the workspace."""
         d = self.unit.d
-        X = _sphere_rows_into(d, gen, self.X[:P], self.xn[:P], self.xtmp[:P])
+        X = self.X[i * P : (i + 1) * P]
         y = self.y[:P]
         if isinstance(target, SpinTensor):
             if target.d != d:
@@ -386,10 +427,16 @@ class _Workspace:
             vals = _spin3_eval_into(target, X, y, self.xm1, self.xm2)
         else:
             vals = np.asarray(evaluate_target(target, X), dtype=np.float64)
-        _check_batch(X, vals, self.xn[:P], self.xtmp[:P])
+        _check_values(X, vals)
         if vals is not y:
             y[:] = vals
         return X, y
+
+    def draw(self, target, P: int, gen: np.random.Generator):
+        """(X, y): P fresh uniform points from gen and their target values,
+        as draw_batch(target, d, P, gen) draws them."""
+        self.draw_window(P, 1, lambda i: gen, replay=False)
+        return self.batch_at(target, 0, P)
 
     def batch_drift(self, X: np.ndarray, y: np.ndarray):
         """SGD drift (dc, dZ) of the batch (X, y) at the current state and
@@ -596,9 +643,12 @@ def run_schedule(
         raise ScheduleError("batch-free dynamics requires an RBF ensemble")
     n = e0.n
     P_max = max((P for _, P in cfg.batch_schedule), default=0)
-    ws = _Workspace(unit, e0.c, e0.z, exact=exact_flow, batch=P_max)
+    window = max(P_max, _WINDOW_ENTRIES // unit.d) if P_max else 0
+    ws = _Workspace(unit, e0.c, e0.z, exact=exact_flow, batch=P_max, window=window)
     c, Z = ws.c, ws.Z
-    seed = cfg.master_seed
+    batch_streams = _StepStreams(cfg.master_seed, "batch")
+    noise_streams = _StepStreams(cfg.master_seed, "noise")
+    window_lo = window_hi = start_step
     beta = cfg.beta
     langevin = cfg.dynamics == "langevin"
     lan_amp = noise_amplitude(beta, n) if langevin else 0.0
@@ -661,10 +711,17 @@ def run_schedule(
             if plan.track_flow_energy:
                 extras["flow_energy"][k - start_step] = ws.flow_loss()
         else:
-            P = _active(cfg.batch_schedule, k, None)
-            if P is None:
-                raise ScheduleError(f"no batch size active at step {k}")
-            X, y = ws.draw(target, P, stream(seed, "batch", k).generator())
+            if k == window_hi:
+                # the next window: as many steps of this batch size as fit,
+                # up to the next batch-size change
+                P = _active(cfg.batch_schedule, k, None)
+                if P is None:
+                    raise ScheduleError(f"no batch size active at step {k}")
+                change = next((s for s, _ in cfg.batch_schedule if s > k), cfg.steps)
+                window_lo, window_hi = k, min(k + window // P, change, cfg.steps)
+                batch_streams.cover(window_lo, window_hi)
+                ws.draw_window(P, window_hi - k, lambda i: batch_streams.generator(window_lo + i))
+            X, y = ws.batch_at(target, k - window_lo, P)
             dc, dZ, last_batch_loss = ws.batch_drift(X, y)
 
         if langevin and inv_beta_n > 0.0:
@@ -679,7 +736,11 @@ def run_schedule(
             amp = lan_amp
         else:
             amp = _active(cfg.noise_schedule, k, 0.0)
-        noise = (amp, stream(seed, "noise", k).generator()) if amp > 0.0 else None
+        noise = None
+        if amp > 0.0:
+            if not noise_streams.lo <= k < noise_streams.hi:
+                noise_streams.cover(k, min(k + _NOISE_TABLE_STEPS, cfg.steps))
+            noise = (amp, noise_streams.generator(k))
         ws.apply(dc, dZ, cfg.dt, k, noise)
 
         step_done = k + 1
@@ -735,7 +796,7 @@ def save_checkpoint(path, e: ParticleEnsemble, step: int, meta: dict) -> None:
         "meta": meta,
         "ensemble": e.to_dict(),
     }
-    with open(path, "w") as fh:
+    with _atomic_write(path) as fh:
         json.dump(blob, fh)
 
 

@@ -23,7 +23,14 @@ from importlib import resources
 
 import numpy as np
 
-from .diagnostics import Batch, ReportError, empirical_loss, fit_scaling_slope, read_report
+from .diagnostics import (
+    Batch,
+    ReportError,
+    _atomic_write,
+    empirical_loss,
+    fit_scaling_slope,
+    read_report,
+)
 from .dynamics import (
     DiagnosticPlan,
     InitSpec,
@@ -424,7 +431,7 @@ def _run_grid(spec: ExperimentSpec) -> dict:
                     failures.append({"cell": list(cell), "error": f"{type(err).__name__}: {err}"})
     if failures:
         failures.sort(key=lambda f: f["cell"])
-        with open(os.path.join(spec.out_dir, "failures.json"), "w") as fh:
+        with _atomic_write(os.path.join(spec.out_dir, "failures.json")) as fh:
             json.dump({"failures": failures}, fh, indent=2, sort_keys=True)
             fh.write("\n")
         raise RuntimeError(f"{len(failures)} cell(s) failed; see failures.json")
@@ -569,7 +576,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     if spec.experiment == "slice":
         raise ConfigError("slice renders a trained checkpoint; use the slice subcommand")
     os.makedirs(spec.out_dir, exist_ok=True)
-    with open(os.path.join(spec.out_dir, "config.cfg"), "w") as fh:
+    with _atomic_write(os.path.join(spec.out_dir, "config.cfg")) as fh:
         fh.write(spec_to_config_text(spec))
 
     if spec.experiment == "clt-check":
@@ -649,6 +656,6 @@ def merge_reports(paths, force: bool = False) -> dict:
 
 
 def write_summary(path, summary: dict) -> None:
-    with open(path, "w") as fh:
+    with _atomic_write(path) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -51,19 +51,42 @@ class SpherePoint:
         object.__setattr__(self, "d", coords.size)
 
 
+# Gaussian rows shorter than this are redrawn before they are scaled onto
+# the sphere.
+_NORM_FLOOR = 1e-12
+
+
+def _short_rows(nrm: np.ndarray) -> np.ndarray:
+    """Mask of the row norms that _redraw_short_rows would redraw."""
+    return nrm < _NORM_FLOOR
+
+
+def _redraw_short_rows(d: int, gen: np.random.Generator, X: np.ndarray, nrm: np.ndarray,
+                       tmp: np.ndarray) -> np.ndarray:
+    """Redraw from gen the rows of X whose norm nrm is below _NORM_FLOOR
+    until none is; nrm is updated, tmp is X-shaped scratch."""
+    while _short_rows(nrm).any():
+        bad = _short_rows(nrm)
+        X[bad] = gen.standard_normal((int(bad.sum()), d))
+        nrm = np.sqrt(_sq_norms_into(X, nrm, tmp), out=nrm)
+    return nrm
+
+
+def _scale_to_sphere(X: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+    """X * sqrt(d) / nrm in place: rows of X with nonzero norms nrm onto
+    S^{d-1}(sqrt(d))."""
+    np.multiply(X, np.sqrt(X.shape[1]), out=X)
+    # divide directly (not reciprocal-multiply) so d=1 gives exactly +-1
+    return np.divide(X, nrm[:, None], out=X)
+
+
 def _sphere_rows_into(d: int, gen: np.random.Generator, X: np.ndarray, nrm: np.ndarray,
                       tmp: np.ndarray) -> np.ndarray:
     """Fill the (size, d) array X with i.i.d. uniform points on
     S^{d-1}(sqrt(d)); nrm (size,) and tmp (size, d) are scratch."""
     gen.standard_normal(out=X)
-    nrm = np.sqrt(_sq_norms_into(X, nrm, tmp), out=nrm)
-    while (nrm < 1e-12).any():
-        bad = nrm < 1e-12
-        X[bad] = gen.standard_normal((int(bad.sum()), d))
-        nrm = np.sqrt(_sq_norms_into(X, nrm, tmp), out=nrm)
-    # divide directly (not reciprocal-multiply) so d=1 gives exactly +-1
-    np.multiply(X, np.sqrt(d), out=X)
-    return np.divide(X, nrm[:, None], out=X)
+    nrm = _redraw_short_rows(d, gen, X, np.sqrt(_sq_norms_into(X, nrm, tmp), out=nrm), tmp)
+    return _scale_to_sphere(X, nrm)
 
 
 def sample_sphere_rows(d: int, size: int, rng) -> np.ndarray:

@@ -26,7 +26,8 @@ from spinnet.diagnostics import (
     target_constant_mc,
     two_angle_slice,
 )
-from spinnet.dynamics import InitSpec
+from spinnet.dynamics import InitSpec, save_checkpoint
+from spinnet.experiments import write_summary
 from spinnet.geometry import InvalidDimensionError, sample_sphere_rows
 from spinnet.rng import stream
 from spinnet.targets import PlantedTarget, SpinTensor, evaluate_target
@@ -507,6 +508,36 @@ def test_report_round_trips_bitwise(tmp_path):
         # repr cells carry the full 17 significant digits
         assert np.array_equal(a, b, equal_nan=True), name
     assert back.series["step"].dtype == np.int64
+
+
+def _write_report(path, meta):
+    r = make_report()
+    ExperimentReport(meta={**r.meta, **meta}, series=r.series, summaries=r.summaries).to_csv(path)
+
+
+def _write_checkpoint(path, meta):
+    unit = RbfUnit(alpha=1.0, d=3)
+    e = ParticleEnsemble(unit=unit, c=np.ones(2), z=sample_sphere_rows(3, 2, stream(5, "z")))
+    save_checkpoint(path, e, 7, meta)
+
+
+def _write_summary(path, meta):
+    write_summary(path, {"cells": 3, **meta})
+
+
+@pytest.mark.parametrize("write", [_write_report, _write_checkpoint, _write_summary],
+                         ids=["report", "checkpoint", "summary"])
+def test_failed_write_keeps_the_old_file(tmp_path, write):
+    # the serializer raises after it has written part of the new file
+    path = tmp_path / "artifact"
+    write(path, {"config_hash": "old", "master_seed": 1})
+    old = path.read_bytes()
+    with pytest.raises(TypeError):
+        write(path, {"config_hash": "new", "master_seed": 1, "zz": object()})
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+    write(path, {"config_hash": "new", "master_seed": 1})
+    assert path.read_bytes() != old
 
 
 def test_report_validation():

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import spinnet.diagnostics as diag
+import spinnet.dynamics as dyn
+import spinnet.geometry as geo
 from spinnet.diagnostics import Batch, draw_batch, empirical_loss, signed_error_summary
 from spinnet.dynamics import (
     DiagnosticPlan,
@@ -25,8 +27,8 @@ from spinnet.dynamics import (
     sgd_drift,
     sgd_step,
 )
-from spinnet.geometry import sample_sphere_rows
-from spinnet.rng import stream
+from spinnet.geometry import _sphere_rows_into, sample_sphere_rows
+from spinnet.rng import _StepStreams, stream
 from spinnet.targets import PlantedTarget, SpinTensor, jordan_sample, spin3_eval_rows
 from spinnet.units import ParticleEnsemble, RbfUnit, SigmoidUnit
 
@@ -554,6 +556,115 @@ def test_sgd_drift_reads_the_batch_in_place_over_blocks(monkeypatch):
     assert np.array_equal(batch.target_values, values)
     assert np.allclose(dc8, dc1, rtol=1e-13, atol=1e-15)
     assert np.allclose(dZ8, dZ1, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "entries, floor",
+    [(0, None), (400, None), (600, None), (None, 2.0)],
+    ids=["3+1", "6+2", "10+3", "redraw"],
+)
+def test_batch_windows_equal_repeated_sgd_steps(monkeypatch, entries, floor):
+    # window rows max(40, entries // 5): 3, 6 or 10 steps at P=12, the last
+    # one cut at the switch to P=40, then windows of 1, 2 or 3 steps, the last
+    # one cut at the run's end; a norm floor of 2 redraws about 45% of the
+    # 5-d Gaussian rows, replaying each affected step's stream
+    if entries is not None:
+        monkeypatch.setattr(dyn, "_WINDOW_ENTRIES", entries)
+    if floor is not None:
+        monkeypatch.setattr(geo, "_NORM_FLOOR", floor)
+    unit = SigmoidUnit(d=5)
+    t = SpinTensor.sample(unit.d, 73)
+    cfg = _quench_cfg(30, seed=73)
+    e0 = cfg.init.sample(unit, 16, stream(73, "init"))
+    final, _ = run_schedule(cfg, e0, t, DiagnosticPlan())
+    e = e0
+    for k in range(cfg.steps):
+        e = sgd_step(e, t, 12 if k < 15 else 40, cfg.dt, stream(73, "batch", k))
+    assert np.array_equal(final.c, e.c)
+    assert np.array_equal(final.z, e.z)
+
+
+@pytest.mark.parametrize("entries", [None, 400])
+@pytest.mark.parametrize("kind", ["sgd", "langevin"])
+def test_batch_resume_inside_a_window_is_bit_exact(monkeypatch, kind, entries):
+    # step 8 lies inside the first window (default: 546 steps at d=5, P=12)
+    # or inside the second one (6 steps); langevin adds the noise streams
+    if entries is not None:
+        monkeypatch.setattr(dyn, "_WINDOW_ENTRIES", entries)
+    unit = RbfUnit(alpha=1.0, d=5)
+    t = SpinTensor.sample(unit.d, 79)
+
+    def cfg(steps):
+        extra = {"beta": 1e3} if kind == "langevin" else {}
+        return TrainConfig(dt=1e-2, steps=steps, dynamics=kind, init=InitSpec(c_law="normal"),
+                           master_seed=79, batch_schedule=((0, 12), (15, 40)), **extra)
+
+    e0 = cfg(30).init.sample(unit, 16, stream(79, "init"))
+    mid, _ = run_schedule(cfg(8), e0, t, DiagnosticPlan())
+    resumed, _ = run_schedule(cfg(30), mid, t, DiagnosticPlan(), start_step=8)
+    direct, _ = run_schedule(cfg(30), e0, t, DiagnosticPlan())
+    assert np.array_equal(resumed.c, direct.c)
+    assert np.array_equal(resumed.z, direct.z)
+
+
+def test_window_redraws_short_rows_as_the_per_step_sampler(monkeypatch):
+    # with the norm floor at 2, about 45% of 5-d Gaussian rows are redrawn
+    monkeypatch.setattr(geo, "_NORM_FLOOR", 2.0)
+    d, P, count, seed = 5, 12, 7, 83
+    unit = SigmoidUnit(d=d)
+    e = InitSpec(c_law="normal").sample(unit, 4, stream(seed, "init"))
+    ws = dyn._Workspace(unit, e.c, e.z, batch=P, window=P * count)
+    streams = _StepStreams(seed, "batch")
+    streams.cover(0, count)
+    ws.draw_window(P, count, streams.generator)
+    for k in range(count):
+        want = _sphere_rows_into(d, stream(seed, "batch", k).generator(),
+                                 np.empty((P, d)), np.empty(P), np.empty((P, d)))
+        assert np.array_equal(ws.X[k * P : (k + 1) * P], want)
+        assert np.all(np.linalg.norm(want, axis=1) > 0)
+    # the caller's-generator path leaves the generator where the sampler does
+    gen, ref = stream(seed, "batch", 0).generator(), stream(seed, "batch", 0).generator()
+    X, _ = ws.draw(SpinTensor.sample(d, seed), P, gen)
+    assert np.array_equal(X, _sphere_rows_into(d, ref, np.empty((P, d)), np.empty(P),
+                                               np.empty((P, d))))
+    assert gen.standard_normal() == ref.standard_normal()
+
+
+@pytest.mark.parametrize("table", [None, 7])
+def test_noisy_flow_equals_a_loop_over_the_noise_streams(monkeypatch, table):
+    # noise for 280 of 300 steps: the default 256-step table is rebuilt once,
+    # 7-step tables 40 times
+    if table is not None:
+        monkeypatch.setattr(dyn, "_NOISE_TABLE_STEPS", table)
+    d, n, seed = 4, 6, 97
+    unit = RbfUnit(alpha=1.0, d=d)
+    t = SpinTensor.sample(d, seed)
+    cfg = TrainConfig(dt=1e-3, steps=300, dynamics="gd", init=InitSpec(c_law="normal"),
+                      master_seed=seed, noise_schedule=((0, 0.1), (280, 0.0)))
+    e0 = cfg.init.sample(unit, n, stream(seed, "init"))
+    final, _ = run_schedule(cfg, e0, t, DiagnosticPlan())
+    ws = dyn._Workspace(unit, e0.c, e0.z, exact=True)
+    for k in range(cfg.steps):
+        dc, dZ = ws.flow_drift(t)
+        noise = (0.1, stream(seed, "noise", k).generator()) if k < 280 else None
+        ws.apply(dc, dZ, cfg.dt, k, noise)
+    assert np.array_equal(final.c, ws.c)
+    assert np.array_equal(final.z, ws.Z)
+
+
+def test_exact_langevin_run_equals_repeated_langevin_steps():
+    d, n, seed = 4, 6, 101
+    unit = RbfUnit(alpha=1.0, d=d)
+    t = SpinTensor.sample(d, seed)
+    cfg = TrainConfig(dt=1e-3, steps=40, dynamics="langevin", init=InitSpec(c_law="normal"),
+                      master_seed=seed, beta=1e3)
+    e0 = cfg.init.sample(unit, n, stream(seed, "init"))
+    final, _ = run_schedule(cfg, e0, t, DiagnosticPlan())
+    e = e0
+    for k in range(cfg.steps):
+        e = langevin_step(e, t, None, cfg.dt, cfg.beta, stream(seed, "noise", k))
+    assert np.array_equal(final.c, e.c)
+    assert np.array_equal(final.z, e.z)
 
 
 def test_missing_batch_schedule_segment():

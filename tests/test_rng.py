@@ -2,7 +2,13 @@
 import numpy as np
 import pytest
 
-from spinnet.rng import RngStream, generator_for, stream, subseed
+import spinnet.rng as rng
+from spinnet.dynamics import DiagnosticPlan, InitSpec, TrainConfig, run_schedule
+from spinnet.rng import RngStream, _pcg64_states, _StepStreams, generator_for, stream, subseed
+from spinnet.targets import SpinTensor
+from spinnet.units import SigmoidUnit
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
 def test_stream_is_deterministic():
@@ -68,3 +74,38 @@ def test_generator_for_accepts_both_kinds():
 def test_rngstream_is_value_like():
     assert stream(7, "z", 2) == stream(7, "z", 2)
     assert hash(RngStream(1, 2)) == hash(RngStream(1, 2))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seed_states_equal_seedsequence_pcg64(seed):
+    # ids below 2^32 are one entropy word, like seeds below 2^32 (and 0)
+    ids = [0, 1, 2, 12345, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+    ids += [stream(seed, "batch", k).stream_id for k in range(5)]
+    for i, got in zip(ids, _pcg64_states(seed, ids)):
+        want = np.random.PCG64(np.random.SeedSequence((seed, i))).state["state"]
+        assert got == (want["state"], want["inc"]), (seed, i)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_step_streams_draw_what_fresh_generators_draw(seed):
+    steps = _StepStreams(seed, "noise")
+    steps.cover(0, 1000)
+    for k in range(1000):
+        want = stream(seed, "noise", k).generator().standard_normal(3)
+        assert np.array_equal(steps.generator(k).standard_normal(3), want), k
+    # a second table starts where the caller asks
+    steps.cover(5000, 5002)
+    assert np.array_equal(steps.generator(5001).standard_normal(3),
+                          stream(seed, "noise", 5001).generator().standard_normal(3))
+
+
+def test_seed_state_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(rng, "_PCG_MULT", rng._PCG_MULT + 2)
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        _StepStreams(3, "batch").cover(0, 4)
+    unit = SigmoidUnit(d=3)
+    cfg = TrainConfig(dt=1e-3, steps=3, dynamics="sgd", init=InitSpec(c_law="normal"),
+                      master_seed=3, batch_schedule=((0, 4),))
+    e0 = cfg.init.sample(unit, 5, stream(3, "init"))
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        run_schedule(cfg, e0, SpinTensor.sample(3, 3), DiagnosticPlan())

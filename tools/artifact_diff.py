@@ -10,7 +10,9 @@ fresh interpreter with that tree first on PYTHONPATH and one BLAS thread:
 * the three benchmark workloads of ``perfbench/run.py`` (its ``WORKLOADS``,
   at their own thread counts) on seeds 1 and 2;
 * ``train --preset paper-rbf-d5 --scale 0.01`` and
-  ``train --preset paper-sigmoid-d10 --scale 0.01``.
+  ``train --preset paper-sigmoid-d10 --scale 0.01``;
+* the sigmoid preset as batch Langevin (``--set dynamics=langevin --set
+  beta=1000``), the one job that draws batch and noise streams together.
 
 Every file a job writes (run CSVs, checkpoints, ``summary.json``,
 ``failures.json``) must exist on both sides with the same bytes, and the
@@ -34,6 +36,8 @@ SEEDS = (1, 2)
 PRESETS = (
     ("preset-rbf-d5", ("train", "--preset", "paper-rbf-d5", "--scale", "0.01")),
     ("preset-sigmoid-d10", ("train", "--preset", "paper-sigmoid-d10", "--scale", "0.01")),
+    ("langevin-sigmoid-d10", ("train", "--preset", "paper-sigmoid-d10", "--scale", "0.01",
+                              "--set", "dynamics=langevin", "--set", "beta=1000")),
 )
 SKIPPED = {"config.cfg"}
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
