@@ -17,7 +17,6 @@ from .diagnostics import (
     init_fluctuation_variance,
     rbf_exact_loss,
     read_report,
-    signed_error,
     signed_error_summary,
     tangent_kernel_gram,
     two_angle_slice,
@@ -44,12 +43,8 @@ from .experiments import (
     run_experiment,
 )
 from .geometry import (
-    SpherePoint,
     retract_rows,
-    retract_to_sphere,
-    sample_sphere,
     sample_sphere_rows,
-    tangent_project,
     tangent_project_rows,
 )
 from .rng import RngStream, stream, subseed
@@ -58,10 +53,7 @@ from .targets import (
     SpinTensor,
     evaluate_target,
     jordan_sample,
-    planted_eval,
-    spin3_eval,
     spin3_eval_rows,
-    spin3_grad,
     spin3_grad_rows,
     target_grad_rows,
 )
@@ -69,7 +61,6 @@ from .units import (
     ParticleEnsemble,
     RbfUnit,
     SigmoidUnit,
-    network_eval,
     network_eval_rows,
     unit_kernel_mc,
     weighted_kernel_gram,
@@ -88,7 +79,6 @@ __all__ = [
     "RbfUnit",
     "RngStream",
     "SigmoidUnit",
-    "SpherePoint",
     "SpinTensor",
     "TrainConfig",
     "batch_residual",
@@ -105,32 +95,24 @@ __all__ = [
     "load_checkpoint",
     "load_preset",
     "merge_reports",
-    "network_eval",
     "network_eval_rows",
     "noise_amplitude",
-    "planted_eval",
     "rbf_exact_loss",
     "rbf_flow_step",
     "read_report",
     "retract_rows",
-    "retract_to_sphere",
     "run_experiment",
     "run_schedule",
-    "sample_sphere",
     "sample_sphere_rows",
     "save_checkpoint",
     "sgd_drift",
     "sgd_step",
-    "signed_error",
     "signed_error_summary",
-    "spin3_eval",
     "spin3_eval_rows",
-    "spin3_grad",
     "spin3_grad_rows",
     "stream",
     "subseed",
     "tangent_kernel_gram",
-    "tangent_project",
     "tangent_project_rows",
     "target_grad_rows",
     "two_angle_slice",

@@ -6,7 +6,7 @@ Conventions:
 * the RBF pair loss is the batch-free surrogate
   -(1/n) sum_i c_i f(z_i) + (1/2n^2) sum_ij c_i c_j phihat(z_i, z_j),
   which the exact flow descends monotonically (the target-only constant
-  is not included; a Monte Carlo estimate is available separately);
+  is not included);
 * signed errors split the residual mean by the sign of the target, with
   f(x) = 0 points contributing to neither side.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import InvalidDimensionError, _sq_norms_into
-from .rng import generator_for, stream
+from .rng import stream
 from .targets import evaluate_target
 from .units import ParticleEnsemble, RbfUnit, network_eval_rows
 
@@ -135,15 +135,6 @@ def empirical_loss(e: ParticleEnsemble, batch: Batch) -> float:
     return residual_loss(batch_residual(e, batch))
 
 
-def signed_error(e: ParticleEnsemble, batch: Batch, sign: int = 1) -> float:
-    """Residual mean restricted to points with sign(f) = sign; f = 0 points
-    are excluded from both variants."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    plus, minus, _ = signed_error_summary(e, batch)
-    return plus if sign == 1 else minus
-
-
 def signed_error_summary(e: ParticleEnsemble, batch: Batch) -> tuple[float, float, float]:
     """(plus, minus, residual mean over f != 0) in one pass over the batch."""
     return residual_signed_split(batch_residual(e, batch), batch.target_values)
@@ -182,14 +173,6 @@ def _rbf_pair_sums_into(alpha: float, Z: np.ndarray, rhs: tuple, outs: tuple,
     return outs
 
 
-def rbf_pair_sums(alpha: float, Z: np.ndarray, rhs: tuple) -> list:
-    """[sum_j phihat(z_i, z_j) R_j for R in rhs] with phihat(z_i, z_j) =
-    exp(alpha z_i . z_j), streamed in row blocks of the pair kernel."""
-    n = Z.shape[0]
-    outs = [np.empty((n,) + R.shape[1:]) for R in rhs]
-    return _rbf_pair_sums_into(alpha, Z, rhs, outs, np.empty(Z.shape[::-1]), _pair_block(n))
-
-
 def rbf_pair_terms(e: ParticleEnsemble, target) -> tuple[np.ndarray, float]:
     """Interaction sums of the RBF pair loss.
 
@@ -198,7 +181,8 @@ def rbf_pair_terms(e: ParticleEnsemble, target) -> tuple[np.ndarray, float]:
     """
     if not isinstance(e.unit, RbfUnit):
         raise InvalidDimensionError("pair loss is defined for RBF ensembles only")
-    (g,) = rbf_pair_sums(e.unit.alpha, e.z, (e.c,))
+    (g,) = _rbf_pair_sums_into(e.unit.alpha, e.z, (e.c,), (np.empty(e.n),),
+                               np.empty(e.z.shape[::-1]), _pair_block(e.n))
     quad = float(np.dot(e.c, g))
     return g, quad
 
@@ -211,12 +195,6 @@ def rbf_exact_loss(e: ParticleEnsemble, target) -> float:
     fz = evaluate_target(target, e.z)
     n = e.n
     return float(-np.dot(e.c, fz) / n + 0.5 * quad / (n * n))
-
-
-def target_constant_mc(target, batch: Batch) -> float:
-    """Monte Carlo estimate of the target-only loss constant (1/2) E[f^2]."""
-    v = batch.target_values
-    return float(0.5 * np.mean(v * v))
 
 
 def tangent_kernel_gram(e: ParticleEnsemble, probes: np.ndarray) -> np.ndarray:
@@ -452,6 +430,10 @@ def _parse_report(path) -> ExperimentReport:
                 rows.append(line.split(","))
     if meta is None:
         raise ReportError(f"{path}: missing meta line")
+    if not isinstance(meta, dict) or not isinstance(summaries, dict):
+        raise ReportError(f"{path}: meta and summaries must be JSON objects")
+    if not isinstance(meta.get("config_hash", ""), str):
+        raise ReportError(f"{path}: config_hash must be a string")
     series = {}
     for k, name in enumerate(REPORT_COLUMNS):
         if name in _INT_COLUMNS:

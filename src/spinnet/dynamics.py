@@ -68,7 +68,7 @@ from .targets import (
     evaluate_target,
     target_grad_rows,
 )
-from .units import _EVAL_BLOCK_ENTRIES, ParticleEnsemble, RbfUnit
+from .units import _EVAL_BLOCK_ENTRIES, ParticleEnsemble, RbfUnit, UnitMismatchError
 
 DYNAMICS_KINDS = ("gd", "sgd", "langevin")
 
@@ -176,33 +176,7 @@ def init_from_string(text: str) -> InitSpec:
 
 
 # ---------------------------------------------------------------------------
-# priors for the Langevin regularizer
-
-
-@dataclass(frozen=True)
-class GaussianPrior:
-    """Standard Gaussian in c; uniform over the sphere for constrained
-    units (no z term), isotropic Gaussian in (a, b) otherwise."""
-
-    def grad_c(self, c: np.ndarray):
-        return -c
-
-    def grad_z(self, Z: np.ndarray, unit):
-        return None if unit.constrained else -Z
-
-
-@dataclass(frozen=True)
-class FlatPrior:
-    """No regularizer; useful for calibrating the noise in isolation."""
-
-    def grad_c(self, c: np.ndarray):
-        return None
-
-    def grad_z(self, Z: np.ndarray, unit):
-        return None
-
-
-DEFAULT_PRIOR = GaussianPrior()
+# Langevin noise
 
 
 def noise_amplitude(beta: float, n: int) -> float:
@@ -281,11 +255,8 @@ class TrainConfig:
         }
 
 
-def train_config_hash(cfg: TrainConfig, extra: dict | None = None) -> str:
-    blob = cfg.to_dict()
-    if extra:
-        blob.update(extra)
-    text = json.dumps(blob, sort_keys=True)
+def train_config_hash(cfg: TrainConfig) -> str:
+    text = json.dumps(cfg.to_dict(), sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -520,14 +491,13 @@ class _Workspace:
             raise StepFailure(step, _first(~np.all(np.isfinite(Z), axis=1)), "position")
 
 
-def _add_prior(prior, inv: float, dc, dZ, c, Z, unit):
-    """Drift plus (beta n)^{-1} grad log rho0, inv = (beta n)^{-1}."""
-    gc = prior.grad_c(c)
-    if gc is not None:
-        dc = dc + inv * gc
-    gz = prior.grad_z(Z, unit)
-    if gz is not None:
-        dZ = dZ + inv * gz
+def _add_prior(inv: float, dc, dZ, c, Z, unit):
+    """Drift plus (beta n)^{-1} grad log rho0, inv = (beta n)^{-1}, for the
+    Gaussian prior rho0: standard normal in c, uniform over the sphere for
+    constrained units (no z term), isotropic normal in z = (a, b) otherwise."""
+    dc = dc + inv * -c
+    if not unit.constrained:
+        dZ = dZ + inv * -Z
     return dc, dZ
 
 
@@ -568,7 +538,6 @@ def langevin_step(
     dt: float,
     beta: float,
     rng,
-    prior=DEFAULT_PRIOR,
 ) -> ParticleEnsemble:
     """One Euler-Maruyama step at inverse temperature beta.
 
@@ -593,7 +562,7 @@ def langevin_step(
     if math.isinf(beta):
         ws.apply(dc, dZ, dt, 0)
     else:
-        dc, dZ = _add_prior(prior, 1.0 / (beta * e.n), dc, dZ, e.c, e.z, e.unit)
+        dc, dZ = _add_prior(1.0 / (beta * e.n), dc, dZ, e.c, e.z, e.unit)
         ws.apply(dc, dZ, dt, 0, noise=(noise_amplitude(beta, e.n), gen))
     return ws.ensemble()
 
@@ -652,7 +621,6 @@ def run_schedule(
     beta = cfg.beta
     langevin = cfg.dynamics == "langevin"
     lan_amp = noise_amplitude(beta, n) if langevin else 0.0
-    prior = DEFAULT_PRIOR
     inv_beta_n = 0.0 if not langevin or math.isinf(beta) else 1.0 / (beta * n)
 
     rows: list[tuple] = []
@@ -725,7 +693,7 @@ def run_schedule(
             dc, dZ, last_batch_loss = ws.batch_drift(X, y)
 
         if langevin and inv_beta_n > 0.0:
-            dc, dZ = _add_prior(prior, inv_beta_n, dc, dZ, c, Z, unit)
+            dc, dZ = _add_prior(inv_beta_n, dc, dZ, c, Z, unit)
 
         if plan.track_flow_energy and exact_flow:
             V = tangent_project_rows(dZ, Z)
@@ -815,6 +783,8 @@ def load_checkpoint(path) -> tuple[ParticleEnsemble, int, dict]:
             raise ScheduleError(f"{path}: checkpoint {key!r} is missing or not a {kind.__name__}")
     try:
         ensemble = ParticleEnsemble.from_dict(blob["ensemble"])
-    except (KeyError, TypeError) as err:
+    except UnitMismatchError:
+        raise  # positions off the sphere, a bad unit kind or shape
+    except (KeyError, TypeError, AttributeError, ValueError) as err:
         raise ScheduleError(f"{path}: malformed checkpoint ensemble ({err!r})") from None
     return ensemble, blob["step"], blob["meta"]

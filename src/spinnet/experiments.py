@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -56,7 +56,6 @@ EXPERIMENT_KINDS = (
     "rbf-scaling",
     "sigmoid-scaling",
     "quench",
-    "slice",
     "clt-check",
     "gradcheck",
 )
@@ -291,8 +290,8 @@ def build_spec(
         mapping.update({k: str(v) for k, v in overrides.items()})
     spec = spec_from_mapping(mapping)
     if scale is not None:
-        if not (scale > 0):
-            raise ConfigError(f"scale must be positive, got {scale}")
+        if not (scale > 0 and math.isfinite(spec.steps * scale)):
+            raise ConfigError(f"scale must be positive and give a finite step count, got {scale}")
         scaled = dict(mapping)
         scaled["steps"] = str(max(1, int(round(spec.steps * scale))))
         spec = spec_from_mapping(scaled)
@@ -573,8 +572,6 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     and gradcheck produce a single summary.  A failed check or failed cells
     raise RuntimeError after writing partial artifacts.
     """
-    if spec.experiment == "slice":
-        raise ConfigError("slice renders a trained checkpoint; use the slice subcommand")
     os.makedirs(spec.out_dir, exist_ok=True)
     with _atomic_write(os.path.join(spec.out_dir, "config.cfg")) as fh:
         fh.write(spec_to_config_text(spec))
@@ -615,13 +612,16 @@ def merge_reports(paths, force: bool = False) -> dict:
         loss = rep.summaries.get("final_loss_big")
         if loss is None:
             loss = float(rep.series["loss"][-1]) if rep.rows else math.nan
-        entry = {
-            "csv": os.path.basename(path),
-            "n": int(rep.meta.get("n", -1)),
-            "realization": int(rep.meta.get("realization", -1)),
-            "seed_index": int(rep.meta.get("seed_index", -1)),
-            "final_loss": float(loss),
-        }
+        try:
+            entry = {
+                "csv": os.path.basename(path),
+                "n": int(rep.meta.get("n", -1)),
+                "realization": int(rep.meta.get("realization", -1)),
+                "seed_index": int(rep.meta.get("seed_index", -1)),
+                "final_loss": float(loss),
+            }
+        except (TypeError, ValueError) as err:
+            raise ReportError(f"{path}: malformed report meta or summaries ({err})") from None
         runs.append(entry)
         by_n.setdefault(entry["n"], []).append(float(loss))
 

@@ -7,11 +7,9 @@ computes a Lagrange multiplier explicitly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .rng import RngStream, generator_for
+from .rng import generator_for
 
 
 class InvalidDimensionError(ValueError):
@@ -26,29 +24,6 @@ class DegenerateVectorError(ValueError):
 # vector is returned unchanged.  One retraction lands within a few ulps of
 # the radius, so a second retraction is a bit-for-bit no-op.
 _RETRACT_GATE = 1e-14
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """A point constrained to |coords|_2 = radius (relative tol 1e-12)."""
-
-    coords: np.ndarray
-    radius: float
-    d: int = field(init=False)
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=np.float64)
-        if coords.ndim != 1 or coords.size < 1:
-            raise InvalidDimensionError("coords must be a 1-d vector of length >= 1")
-        if not (self.radius > 0.0):
-            raise DegenerateVectorError(f"radius must be positive, got {self.radius}")
-        nrm = float(np.linalg.norm(coords))
-        if abs(nrm - self.radius) > 1e-12 * self.radius:
-            raise DegenerateVectorError(
-                f"|coords| = {nrm!r} is off the sphere of radius {self.radius!r}"
-            )
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "d", coords.size)
 
 
 # Gaussian rows shorter than this are redrawn before they are scaled onto
@@ -101,12 +76,6 @@ def sample_sphere_rows(d: int, size: int, rng) -> np.ndarray:
     return _sphere_rows_into(d, gen, np.empty((size, d)), np.empty(size), np.empty((size, d)))
 
 
-def sample_sphere(d: int, rng: RngStream | np.random.Generator) -> SpherePoint:
-    """One uniform point on S^{d-1}(sqrt(d))."""
-    row = sample_sphere_rows(d, 1, rng)[0]
-    return SpherePoint(row, float(np.sqrt(d)))
-
-
 def _sq_norms_into(Z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """out = |z|^2 per row of Z, summed as np.linalg.norm sums before its
     square root; tmp is Z-shaped scratch."""
@@ -141,14 +110,6 @@ def retract_rows(Z: np.ndarray, radius: float) -> np.ndarray:
     return _retract_into(Z, nrm, radius, np.empty(Z.shape), np.empty(nrm.shape))
 
 
-def retract_to_sphere(v: np.ndarray, radius: float) -> SpherePoint:
-    """Retract a single ambient vector onto S^{d-1}(radius)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise InvalidDimensionError("retract_to_sphere expects a 1-d vector")
-    return SpherePoint(retract_rows(v[None, :], radius)[0], radius)
-
-
 def _tangent_project_into(V: np.ndarray, Z: np.ndarray, zz: np.ndarray, out: np.ndarray,
                           coef: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """out = v - (v.z / zz) z per row, given the nonzero zz = |z|^2; coef is
@@ -170,12 +131,3 @@ def tangent_project_rows(V: np.ndarray, Z: np.ndarray) -> np.ndarray:
     if np.any(zz == 0.0):
         raise DegenerateVectorError("tangent projection at the origin is undefined")
     return _tangent_project_into(V, Z, zz, np.empty(rows), np.empty(rows[:-1]), np.empty(rows))
-
-
-def tangent_project(v: np.ndarray, z: SpherePoint | np.ndarray) -> np.ndarray:
-    """Tangent projection of one ambient vector at one sphere point."""
-    zc = z.coords if isinstance(z, SpherePoint) else np.asarray(z, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != zc.shape:
-        raise InvalidDimensionError(f"shape mismatch: v {v.shape} vs z {zc.shape}")
-    return tangent_project_rows(v[None, :], zc[None, :])[0]

@@ -100,21 +100,16 @@ def _spin3_eval_into(t: SpinTensor, X: np.ndarray, out: np.ndarray, m1: np.ndarr
     return out
 
 
-def spin3_eval_rows(t: SpinTensor, X: np.ndarray, chunk: int = _SPIN3_CHUNK) -> np.ndarray:
+def spin3_eval_rows(t: SpinTensor, X: np.ndarray) -> np.ndarray:
     """f(x) = (1/d) sum_{pqr} a_pqr x_p x_q x_r for each row of X."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != t.d:
         raise DimensionMismatchError(f"points have d = {X.shape[1]}, tensor d = {t.d}")
     d = t.d
-    block = max(1, min(chunk, X.shape[0]))
+    block = max(1, min(_SPIN3_CHUNK, X.shape[0]))
     return _spin3_eval_into(
         t, X, np.empty(X.shape[0]), np.empty((block, d * d)), np.empty((block, 1, d))
     )
-
-
-def spin3_eval(t: SpinTensor, x: np.ndarray) -> float:
-    """Scalar 3-spin value at one ambient point."""
-    return float(spin3_eval_rows(t, np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
 def _spin3_grad_into(t: SpinTensor, Z: np.ndarray, out: np.ndarray, t1: np.ndarray) -> np.ndarray:
@@ -134,11 +129,6 @@ def spin3_grad_rows(t: SpinTensor, Z: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(f"points have d = {Z.shape[1]}, tensor d = {t.d}")
     n, d = Z.shape
     return _spin3_grad_into(t, Z, np.empty((n, d)), np.empty((n, d * d)))
-
-
-def spin3_grad(t: SpinTensor, z: np.ndarray) -> np.ndarray:
-    """Ambient gradient at one point."""
-    return spin3_grad_rows(t, np.asarray(z, dtype=np.float64)[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -186,11 +176,6 @@ class PlantedTarget:
         for w, z in zip(self.weights, self.locations):
             out += w * self.unit.grad_input(X, z)
         return out
-
-
-def planted_eval(p: PlantedTarget, x: np.ndarray) -> float:
-    """Scalar mixture value at one point."""
-    return float(p.eval_rows(np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
 def jordan_sample(p: PlantedTarget, n: int, rng):

@@ -18,12 +18,11 @@ input gradients) that targets, dynamics and diagnostics all share.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import InvalidDimensionError, retract_rows
+from .geometry import InvalidDimensionError
 
 
 class UnitMismatchError(ValueError):
@@ -64,12 +63,6 @@ class RbfUnit:
             raise InvalidDimensionError(f"d must be >= 1, got {self.d}")
         if not (self.alpha >= 0.0):
             raise InvalidDimensionError(f"alpha must be >= 0, got {self.alpha}")
-
-    @classmethod
-    def from_gaussian(cls, kappa: float, d: int) -> "RbfUnit":
-        """Unit defined by the bump exp(-kappa/2 |x-z|^2); the constant
-        exp(-kappa*d) prefactor is absorbed into the outer weights."""
-        return cls(alpha=kappa, d=d)
 
     @property
     def param_dim(self) -> int:
@@ -129,9 +122,9 @@ class RbfUnit:
         out *= self.alpha
         return out
 
-    def weighted_grad_sum(self, X, Z, W, feats=None) -> np.ndarray:
+    def weighted_grad_sum(self, X, Z, W) -> np.ndarray:
         """(n, d) rows sum_p W[p,i] * d/dz phihat(x_p, z_i)."""
-        return _weighted_grad_sum(self, X, Z, W, feats)
+        return _weighted_grad_sum(self, X, Z, W)
 
     def grad_input(self, X: np.ndarray, z: np.ndarray) -> np.ndarray:
         """(P, d) rows d/dx phihat(x_p, z) = alpha * z * phihat."""
@@ -215,9 +208,9 @@ class SigmoidUnit:
         np.add.reduce(WD, axis=0, out=out[:, self.d])
         return out
 
-    def weighted_grad_sum(self, X, Z, W, feats=None) -> np.ndarray:
+    def weighted_grad_sum(self, X, Z, W) -> np.ndarray:
         """(n, d + 1) rows sum_p W[p,i] * d/dz phihat(x_p, z_i)."""
-        return _weighted_grad_sum(self, X, Z, W, feats)
+        return _weighted_grad_sum(self, X, Z, W)
 
     def grad_input(self, X: np.ndarray, z: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
@@ -237,10 +230,9 @@ class SigmoidUnit:
         return {"kind": "sigmoid", "d": self.d}
 
 
-def _weighted_grad_sum(unit, X, Z, W, feats) -> np.ndarray:
+def _weighted_grad_sum(unit, X, Z, W) -> np.ndarray:
     X = np.atleast_2d(X)
-    if feats is None:
-        feats = unit.features(X, Z)
+    feats = unit.features(X, Z)
     WF = W * feats
     out = np.empty((WF.shape[1], unit.param_dim))
     return unit._grad_sum_into(X, WF, feats, out, np.empty(WF.shape))
@@ -302,15 +294,6 @@ class ParticleEnsemble:
             z=np.asarray(blob["z"], dtype=np.float64),
         )
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "ParticleEnsemble":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 # entries per feature block when walking many eval points: 256 KB blocks
 # stay in a core's L2 cache through the in-place feature passes
@@ -331,11 +314,6 @@ def network_eval_rows(e: ParticleEnsemble, X: np.ndarray) -> np.ndarray:
         out[lo : lo + rows] = e.unit.features(Xc, e.z) @ e.c
     out /= e.n
     return out
-
-
-def network_eval(e: ParticleEnsemble, x: np.ndarray) -> float:
-    """Network value at a single point."""
-    return float(network_eval_rows(e, np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
 def _batch_points(batch) -> np.ndarray:

@@ -119,8 +119,9 @@ def test_scale_multiplies_steps_only():
     assert scaled == spec_from_mapping(
         dict(parse_config_text(spec_to_config_text(base)), steps="200")
     )
-    with pytest.raises(ConfigError):
-        build_spec(preset="paper-rbf-d5", scale=0.0)
+    for bad in (0.0, float("inf")):
+        with pytest.raises(ConfigError):
+            build_spec(preset="paper-rbf-d5", scale=bad)
 
 
 def test_config_hash_ignores_execution_fields():
@@ -403,6 +404,25 @@ def test_corrupt_input_files_exit_1(tmp_path):
     )
     code, _, err = run_cli(["merge", str(csv)])
     assert code == 1 and stderr_json(err)["error"] == "ReportError"
+    # meta or summaries that are not JSON objects, or hold the wrong types
+    meta = '{"config_hash": "x", "master_seed": 1}'
+    for meta_json, summaries_json in (
+        ("5", "{}"),
+        (meta, "3"),
+        ('{"config_hash": ["x"], "master_seed": 1}', "{}"),
+        ('{"config_hash": "x", "master_seed": 1, "n": "abc"}', "{}"),
+    ):
+        csv.write_text(
+            "# spinnet-report v1\n"
+            f"# meta {meta_json}\n"
+            f"# summaries {summaries_json}\n"
+            + ",".join(REPORT_COLUMNS) + "\n"
+            + ",".join(["0"] * 13) + "\n"
+        )
+        code, stdout, err = run_cli(["merge", str(csv)])
+        assert code == 1 and stdout == "", (meta_json, summaries_json)
+        assert len(err.strip().splitlines()) == 1
+        assert stderr_json(err)["error"] == "ReportError"
 
 
 @pytest.mark.parametrize("drop", ["tensor", "ensemble", "step", "meta"])
@@ -423,6 +443,35 @@ def test_slice_thin_checkpoint_exits_1(train_dir, tmp_path, drop):
     assert len(err.strip().splitlines()) == 1
     assert stderr_json(err)["error"] == "ScheduleError"
     assert repr(drop) in stderr_json(err)["message"]
+
+
+@pytest.mark.parametrize("damage, error", [
+    ("unit", "ScheduleError"),
+    ("c", "ScheduleError"),
+    ("alpha", "ScheduleError"),
+    ("z", "UnitMismatchError"),
+])
+def test_slice_damaged_ensemble_exits_1(train_dir, tmp_path, damage, error):
+    # a checkpoint ensemble with a field of the wrong type, or with
+    # positions off the sphere, exits 1 with one JSON error line
+    out, _ = train_dir
+    with open(os.path.join(out, "ckpt_n4_r0_s0.json")) as fh:
+        blob = json.load(fh)
+    ens = blob["ensemble"]
+    if damage == "unit":
+        ens["unit"] = 5
+    elif damage == "c":
+        ens["c"][0] = "abc"
+    elif damage == "alpha":
+        ens["unit"]["alpha"] = "abc"
+    else:
+        ens["z"][0] = [2.0 * v for v in ens["z"][0]]
+    ckpt = tmp_path / "ckpt_damaged.json"
+    ckpt.write_text(json.dumps(blob))
+    code, stdout, err = run_cli(["slice", str(ckpt)])
+    assert code == 1 and stdout == ""
+    assert len(err.strip().splitlines()) == 1
+    assert stderr_json(err)["error"] == error
 
 
 def test_experiment_slice_needs_checkpoint(tiny_cfg, tmp_path):

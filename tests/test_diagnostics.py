@@ -20,10 +20,9 @@ from spinnet.diagnostics import (
     rbf_exact_loss,
     rbf_pair_terms,
     read_report,
-    signed_error,
+    residual_loss,
     signed_error_summary,
     tangent_kernel_gram,
-    target_constant_mc,
     two_angle_slice,
 )
 from spinnet.dynamics import InitSpec, save_checkpoint
@@ -130,7 +129,8 @@ def test_loss_with_zero_network_is_half_mean_square():
     e = rbf_ensemble(5, 8, 1.0, 9, c=np.zeros(8))
     b = draw_batch(t, 5, 400, stream(9, "b"))
     # residual is the raw target, so the loss equals the target constant
-    assert empirical_loss(e, b) == target_constant_mc(t, b)
+    v = b.target_values
+    assert empirical_loss(e, b) == 0.5 * np.mean(v * v)
     assert empirical_loss(e, b) >= 0.0
 
 
@@ -151,7 +151,9 @@ def test_loss_agrees_across_independent_batches():
 def test_target_constant_is_half_second_moment():
     b = Batch(points=sample_sphere_rows(2, 4, stream(2, "x")),
               target_values=np.array([2.0, -4.0, 0.0, 2.0]))
-    assert target_constant_mc(None, b) == 3.0
+    assert residual_loss(b.target_values) == 3.0
+    e = rbf_ensemble(2, 3, 1.0, 2, c=np.zeros(3))
+    assert empirical_loss(e, b) == 3.0
 
 
 # -- exact rbf loss ------------------------------------------------------
@@ -218,8 +220,6 @@ def test_signed_error_hand_values():
     v = np.array([2.0, -1.0, 0.0, 4.0, -8.0, 16.0, 0.0, 3.0])
     b = Batch(points=X, target_values=v)
     e = rbf_ensemble(3, 5, 1.0, 4, c=np.zeros(5))
-    assert signed_error(e, b, +1) == 25.0 / 8.0
-    assert signed_error(e, b, -1) == -9.0 / 8.0
     plus, minus, both = signed_error_summary(e, b)
     assert (plus, minus, both) == (25.0 / 8.0, -9.0 / 8.0, 2.0)
 
@@ -231,8 +231,8 @@ def test_signed_error_zero_residual():
     tgt = PlantedTarget(unit=unit, weights=np.array([1.3]), locations=z0[None, :])
     e = ParticleEnsemble(unit=unit, c=np.array([1.3]), z=z0[None, :])
     b = draw_batch(tgt, d, 100, stream(6, "b"))
-    assert signed_error(e, b, +1) == 0.0
-    assert signed_error(e, b, -1) == 0.0
+    plus, minus, _ = signed_error_summary(e, b)
+    assert (plus, minus) == (0.0, 0.0)
 
 
 def test_split_is_exact_identity():
@@ -241,8 +241,6 @@ def test_split_is_exact_identity():
     b = draw_batch(t, 5, 997, stream(13, "b"))
     plus, minus, both = signed_error_summary(e, b)
     assert plus + minus == both  # exact, not approximate
-    assert plus == signed_error(e, b, +1)
-    assert minus == signed_error(e, b, -1)
     # and the assembled value is the residual mean over f != 0
     r = batch_residual(e, b)
     mask = b.target_values != 0.0
@@ -261,14 +259,6 @@ def test_zero_target_points_are_excluded():
     plus, minus, both = signed_error_summary(e, b)
     assert both != pytest.approx(float(np.mean(r)))
     assert both == pytest.approx(float(np.sum(r[v != 0.0])) / b.P, rel=1e-12)
-
-
-def test_signed_error_sign_validation():
-    b = Batch(points=sample_sphere_rows(3, 2, stream(1, "x")),
-              target_values=np.ones(2))
-    e = rbf_ensemble(3, 2, 1.0, 1)
-    with pytest.raises(ValueError):
-        signed_error(e, b, sign=0)
 
 
 # -- tangent kernel gram -------------------------------------------------

@@ -7,11 +7,9 @@ import pytest
 import spinnet.diagnostics as diag
 import spinnet.dynamics as dyn
 import spinnet.geometry as geo
-from spinnet.diagnostics import Batch, draw_batch, empirical_loss, signed_error_summary
+from spinnet.diagnostics import draw_batch, empirical_loss, signed_error_summary
 from spinnet.dynamics import (
     DiagnosticPlan,
-    FlatPrior,
-    GaussianPrior,
     InitSpec,
     ScheduleError,
     StepFailure,
@@ -157,27 +155,21 @@ def test_beta_infinity_matches_sgd_bitwise():
 
 
 def test_gaussian_prior_pull_on_c():
-    # with everything else identical, the Gaussian prior shifts the c update
-    # by -c/(beta n) dt relative to a flat prior
-    d, n, beta, dt = 3, 5, 50.0, 1e-3
-    unit = SigmoidUnit(d=d)
-    t = SpinTensor.sample(d, 19)
+    # the drift gains (beta n)^{-1} grad log rho0: -c/(beta n) on the weights,
+    # -z/(beta n) on unconstrained parameters, nothing on sphere positions
+    d, n, beta = 3, 5, 50.0
+    inv = 1.0 / (beta * n)
     gen = stream(39, "ens").generator()
-    e = ParticleEnsemble(unit=unit, c=gen.standard_normal(n),
-                         z=gen.standard_normal((n, d + 1)))
-    g = langevin_step(e, t, 8, dt, beta, stream(39, "s").generator(),
-                      prior=GaussianPrior())
-    f = langevin_step(e, t, 8, dt, beta, stream(39, "s").generator(),
-                      prior=FlatPrior())
-    got = g.c - f.c
-    want = -e.c / (beta * n) * dt
-    assert np.max(np.abs(got - want)) < 1e-15
-
-
-def test_gaussian_prior_gradients():
-    c = np.array([1.0, -2.0, 0.5])
-    assert np.array_equal(GaussianPrior().grad_c(c), -c)
-    assert FlatPrior().grad_c(c) is None
+    c, dc = gen.standard_normal(n), gen.standard_normal(n)
+    Z, dZ = gen.standard_normal((n, d + 1)), gen.standard_normal((n, d + 1))
+    pc, pZ = dyn._add_prior(inv, dc, dZ, c, Z, SigmoidUnit(d=d))
+    assert pc.tobytes() == (dc + inv * -c).tobytes()
+    assert pZ.tobytes() == (dZ + inv * -Z).tobytes()
+    unit = RbfUnit(alpha=1.0, d=d)
+    Z, dZ = sample_sphere_rows(d, n, gen), gen.standard_normal((n, d))
+    pc, pZ = dyn._add_prior(inv, dc, dZ, c, Z, unit)
+    assert pc.tobytes() == (dc + inv * -c).tobytes()
+    assert pZ is dZ
 
 
 def test_langevin_keeps_rbf_on_sphere():

@@ -11,14 +11,11 @@ from spinnet.targets import (
     SpinTensor,
     evaluate_target,
     jordan_sample,
-    planted_eval,
-    spin3_eval,
     spin3_eval_rows,
-    spin3_grad,
     spin3_grad_rows,
     target_grad_rows,
 )
-from spinnet.units import RbfUnit, SigmoidUnit, network_eval, network_eval_rows
+from spinnet.units import RbfUnit, SigmoidUnit, network_eval_rows
 
 
 # -- independent oracles ------------------------------------------------------
@@ -66,15 +63,15 @@ def test_zero_tensor_evaluates_to_zero():
 
 def test_d1_single_entry():
     t = SpinTensor(d=1, seed=0, a=np.array([[[2.0]]]))
-    assert spin3_eval(t, np.array([1.0])) == 2.0
-    assert spin3_eval(t, np.array([-1.0])) == -2.0
+    assert spin3_eval_rows(t, np.array([[1.0]]))[0] == 2.0
+    assert spin3_eval_rows(t, np.array([[-1.0]]))[0] == -2.0
 
 
 def test_d2_all_ones_closed_form():
     # a = 1 everywhere: f(x) = (x1+x2)^3 / 2, so x = (sqrt(2), 0) gives sqrt(2)
     t = SpinTensor(d=2, seed=0, a=np.ones((2, 2, 2)))
     x = np.array([np.sqrt(2.0), 0.0])
-    got = spin3_eval(t, x)
+    got = spin3_eval_rows(t, x[None])[0]
     assert abs(got - np.sqrt(2.0)) < 1e-14
     assert abs(got - spin3_naive(t.a, x)) < 1e-14
 
@@ -97,7 +94,7 @@ def test_eval_is_exactly_odd():
 def test_eval_dimension_mismatch():
     t = SpinTensor.sample(3, 0)
     with pytest.raises(DimensionMismatchError):
-        spin3_eval(t, np.ones(4))
+        spin3_eval_rows(t, np.ones((1, 4)))
 
 
 def test_tensor_validation():
@@ -119,13 +116,13 @@ def test_tensor_roundtrip_is_bitwise():
 
 def test_grad_zero_tensor():
     t = SpinTensor(d=3, seed=0, a=np.zeros((3, 3, 3)))
-    assert np.array_equal(spin3_grad(t, np.ones(3)), np.zeros(3))
+    assert np.array_equal(spin3_grad_rows(t, np.ones((1, 3)))[0], np.zeros(3))
 
 
 def test_grad_d2_all_ones():
     # symmetrized sum: each component (1/2) * 3 * (z1+z2)^2 = 6 at z = (1,1)
     t = SpinTensor(d=2, seed=0, a=np.ones((2, 2, 2)))
-    g = spin3_grad(t, np.array([1.0, 1.0]))
+    g = spin3_grad_rows(t, np.array([[1.0, 1.0]]))[0]
     assert np.allclose(g, [6.0, 6.0], rtol=0, atol=1e-13)
 
 
@@ -142,8 +139,8 @@ def test_grad_matches_finite_differences_d10():
     t = SpinTensor.sample(10, 7)
     Z = sample_sphere_rows(10, 5, stream(4, "fd"))
     for z in Z:
-        got = spin3_grad(t, z)
-        want = central_diff(lambda x: spin3_eval(t, x), z)
+        got = spin3_grad_rows(t, z[None])[0]
+        want = central_diff(lambda x: spin3_eval_rows(t, x[None])[0], z)
         rel = np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
         assert rel < 1e-6
 
@@ -154,7 +151,7 @@ def test_empty_mixture_is_zero_target():
     unit = RbfUnit(alpha=1.0, d=3)
     p = PlantedTarget(unit=unit, weights=np.zeros(0), locations=np.zeros((0, 3)))
     x = sample_sphere_rows(3, 1, stream(5, "x"))[0]
-    assert planted_eval(p, x) == 0.0
+    assert p.eval_rows(x[None])[0] == 0.0
     assert p.total_variation == 0.0
 
 
@@ -163,7 +160,7 @@ def test_single_atom_is_the_unit():
     z = sample_sphere_rows(4, 1, stream(6, "z"))[0]
     p = PlantedTarget(unit=unit, weights=np.array([1.0]), locations=z[None, :])
     x = sample_sphere_rows(4, 1, stream(6, "x"))[0]
-    assert planted_eval(p, x) == unit.eval_one(x, z)
+    assert p.eval_rows(x[None])[0] == unit.eval_one(x, z)
 
 
 def test_opposite_atoms_cancel_exactly():
@@ -199,7 +196,7 @@ def test_planted_gradient_matches_finite_differences():
     p = PlantedTarget(unit=unit, weights=np.array([1.0, -0.5, 0.7]), locations=locs)
     x = sample_sphere_rows(4, 1, stream(10, "x"))[0]
     got = target_grad_rows(p, x[None, :])[0]
-    want = central_diff(lambda y: planted_eval(p, y), x)
+    want = central_diff(lambda y: p.eval_rows(y[None])[0], x)
     assert np.max(np.abs(got - want)) < 1e-6 * max(1.0, np.max(np.abs(want)))
 
 
@@ -237,11 +234,11 @@ def test_jordan_networks_are_unbiased():
     p = PlantedTarget(unit=unit, weights=np.array([1.1, -0.4, 0.6]), locations=locs)
     x = sample_sphere_rows(3, 1, stream(13, "x"))[0]
     vals = np.array([
-        network_eval(jordan_sample(p, 100, stream(13, "draw", s)), x)
+        network_eval_rows(jordan_sample(p, 100, stream(13, "draw", s)), x[None])[0]
         for s in range(1000)
     ])
     se = vals.std(ddof=1) / np.sqrt(len(vals))
-    assert abs(vals.mean() - planted_eval(p, x)) < 4 * se
+    assert abs(vals.mean() - p.eval_rows(x[None])[0]) < 4 * se
 
 
 def test_jordan_rejects_zero_mass():
