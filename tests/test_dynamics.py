@@ -154,6 +154,20 @@ def test_beta_infinity_matches_sgd_bitwise():
     assert np.array_equal(a.z, b.z)
 
 
+def test_gaussian_prior_gradients():
+    # grad log rho0 of the Gaussian prior, read off a zero drift at unit scale:
+    # -c on the weights, -(a, b) on unconstrained units, none on the sphere
+    c = np.array([1.0, -2.0, 0.5])
+    Z = np.array([[0.5, -1.0], [2.0, 0.25], [-3.0, 1.5]])
+    zc, zZ = np.zeros_like(c), np.zeros_like(Z)
+    gc, gZ = dyn._add_prior(1.0, zc, zZ, c, Z, SigmoidUnit(d=1))
+    assert np.array_equal(gc, -c)
+    assert np.array_equal(gZ, -Z)
+    gc, gZ = dyn._add_prior(1.0, zc, zZ, c, Z, RbfUnit(alpha=1.0, d=2))
+    assert np.array_equal(gc, -c)
+    assert gZ is zZ
+
+
 def test_gaussian_prior_pull_on_c():
     # the drift gains (beta n)^{-1} grad log rho0: -c/(beta n) on the weights,
     # -z/(beta n) on unconstrained parameters, nothing on sphere positions
