@@ -28,11 +28,9 @@ from .dynamics import (
     langevin_step,
     load_checkpoint,
     noise_amplitude,
-    rbf_flow_step,
     run_schedule,
     save_checkpoint,
     sgd_drift,
-    sgd_step,
 )
 from .experiments import (
     ExperimentSpec,
@@ -98,7 +96,6 @@ __all__ = [
     "network_eval_rows",
     "noise_amplitude",
     "rbf_exact_loss",
-    "rbf_flow_step",
     "read_report",
     "retract_rows",
     "run_experiment",
@@ -106,7 +103,6 @@ __all__ = [
     "sample_sphere_rows",
     "save_checkpoint",
     "sgd_drift",
-    "sgd_step",
     "signed_error_summary",
     "spin3_eval_rows",
     "spin3_grad_rows",

@@ -401,7 +401,7 @@ def read_report(path) -> ExperimentReport:
         return _parse_report(path)
     except ReportError:
         raise
-    except (ValueError, IndexError) as err:  # bad JSON, a non-number cell, a short row
+    except ValueError as err:  # bad JSON, a non-number cell
         raise ReportError(f"{path}: malformed report ({err})") from None
 
 
@@ -427,7 +427,12 @@ def _parse_report(path) -> ExperimentReport:
                 if header != REPORT_COLUMNS:
                     raise ReportError(f"{path}: unexpected columns {header}")
             else:
-                rows.append(line.split(","))
+                cells = line.split(",")
+                if len(cells) != len(REPORT_COLUMNS):
+                    raise ReportError(
+                        f"{path}: a data row has {len(cells)} cells, not {len(REPORT_COLUMNS)}"
+                    )
+                rows.append(cells)
     if meta is None:
         raise ReportError(f"{path}: missing meta line")
     if not isinstance(meta, dict) or not isinstance(summaries, dict):

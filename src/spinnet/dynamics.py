@@ -100,59 +100,34 @@ class StepFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class InitSpec:
-    """Product law for the initial ensemble.
-
-    c_law: "zero", "normal", ("uniform", lo, hi), or "jordan" (weights
-    +/- total variation tied to the planted atom signs; requires a planted
-    z_law).  z_law: "uniform" (the unit's own parameter law) or
-    ("planted", PlantedTarget).
-    """
+    """Product law for the initial ensemble: weights c_law ("zero",
+    "normal" or ("uniform", lo, hi)), positions from the unit's own
+    parameter law."""
 
     c_law: object = "zero"
-    z_law: object = "uniform"
 
     def __post_init__(self):
         c = self.c_law
         if not (
-            c in ("zero", "normal", "jordan")
+            c in ("zero", "normal")
             or (isinstance(c, tuple) and len(c) == 3 and c[0] == "uniform")
         ):
             raise ScheduleError(f"unknown c_law: {c!r}")
         if isinstance(c, tuple) and not (float(c[1]) <= float(c[2])):
             raise ScheduleError(f"uniform c_law needs lo <= hi, got {c!r}")
-        z = self.z_law
-        if not (
-            z == "uniform"
-            or (isinstance(z, tuple) and len(z) == 2 and z[0] == "planted"
-                and isinstance(z[1], PlantedTarget))
-        ):
-            raise ScheduleError(f"unknown z_law: {z!r}")
-        if c == "jordan" and z == "uniform":
-            raise ScheduleError("c_law 'jordan' requires a planted z_law")
 
     def sample(self, unit, n: int, rng) -> ParticleEnsemble:
         """Draw an ensemble; weights are drawn first, then positions."""
         if n < 1:
             raise ScheduleError(f"n must be >= 1, got {n}")
         gen = generator_for(rng)
-        if self.z_law != "uniform" and self.c_law == "jordan":
-            from .targets import jordan_sample
-
-            return jordan_sample(self.z_law[1], n, gen)
         if self.c_law == "zero":
             c = np.zeros(n)
         elif self.c_law == "normal":
             c = gen.standard_normal(n)
         else:
             c = gen.uniform(self.c_law[1], self.c_law[2], size=n)
-        if self.z_law == "uniform":
-            z = unit.init_rows(n, gen)
-        else:
-            planted = self.z_law[1]
-            probs = np.abs(planted.weights) / planted.total_variation
-            idx = gen.choice(planted.weights.size, size=n, p=probs)
-            z = planted.locations[idx].copy()
-        return ParticleEnsemble(unit=unit, c=c, z=z)
+        return ParticleEnsemble(unit=unit, c=c, z=unit.init_rows(n, gen))
 
 
 def init_to_string(init: InitSpec) -> str:
@@ -163,7 +138,7 @@ def init_to_string(init: InitSpec) -> str:
 
 
 def init_from_string(text: str) -> InitSpec:
-    """Parse the flat-config form of the weight law (z_law stays uniform)."""
+    """Parse the flat-config form of the weight law."""
     text = text.strip()
     if text in ("zero", "normal"):
         return InitSpec(c_law=text)
@@ -501,34 +476,11 @@ def _add_prior(inv: float, dc, dZ, c, Z, unit):
     return dc, dZ
 
 
-def rbf_flow_step(e: ParticleEnsemble, target, dt: float) -> ParticleEnsemble:
-    """One Euler step of the exact descent flow (RBF ensembles only)."""
-    if not isinstance(e.unit, RbfUnit):
-        raise ScheduleError("the exact flow is defined for RBF ensembles")
-    if dt < 0:
-        raise ScheduleError(f"dt must be >= 0, got {dt}")
-    ws = _Workspace(e.unit, e.c, e.z, exact=True)
-    dc, dZ = ws.flow_drift(target)
-    ws.apply(dc, dZ, dt, 0)
-    return ws.ensemble()
-
-
 def sgd_drift(e: ParticleEnsemble, batch: Batch):
     """(dc, dZ) ambient drift for a given batch (no step applied)."""
     ws = _Workspace(e.unit, e.c, e.z, batch=batch.P)
     dc, dZ, _ = ws.batch_drift(batch.points, batch.target_values)
     return dc, dZ
-
-
-def sgd_step(e: ParticleEnsemble, target, P: int, dt: float, rng) -> ParticleEnsemble:
-    """One online-SGD step on a fresh uniform batch of size P."""
-    if dt < 0:
-        raise ScheduleError(f"dt must be >= 0, got {dt}")
-    gen = generator_for(rng)
-    ws = _Workspace(e.unit, e.c, e.z, batch=P)
-    dc, dZ, _ = ws.batch_drift(*ws.draw(target, P, gen))
-    ws.apply(dc, dZ, dt, 0)
-    return ws.ensemble()
 
 
 def langevin_step(
@@ -625,27 +577,30 @@ def run_schedule(
 
     rows: list[tuple] = []
     extras: dict = {}
+    # the last state visited; a run with no steps left visits none
+    last = cfg.steps if cfg.steps > start_step else start_step - 1
+    energy = None
     if plan.track_flow_energy and exact_flow:
-        extras["flow_energy"] = np.empty(cfg.steps - start_step + 1)
+        energy = extras["flow_energy"] = np.empty(last - start_step + 1)
         extras["flow_driftsq"] = np.empty(cfg.steps - start_step)
 
     last_batch_loss = math.nan
 
-    def probe(step: int, batch_loss: float) -> None:
-        ens = ParticleEnsemble(unit=unit, c=c.copy(), z=Z.copy())
+    def probe(step: int) -> None:
         P_now = _active(cfg.batch_schedule, step, 0)
         if langevin:
             amp_now = lan_amp
         else:
             amp_now = _active(cfg.noise_schedule, step, 0.0)
         if plan.eval_batch is not None:
-            r = batch_residual(ens, plan.eval_batch)
+            r = batch_residual(ws.ensemble(), plan.eval_batch)
             loss = residual_loss(r)
             sp, sm, rest = residual_signed_split(r, plan.eval_batch.target_values)
         else:
             loss = sp = sm = rest = math.nan
         if isinstance(unit, RbfUnit):
-            ex_loss = rbf_exact_loss(ens, target)
+            # an exact-flow state's pair loss is the one its drift just formed
+            ex_loss = ws.flow_loss() if exact_flow else rbf_exact_loss(ws.ensemble(), target)
             dev = float(np.max(np.abs(np.linalg.norm(Z, axis=1) - unit.radius)))
         else:
             ex_loss = math.nan
@@ -659,7 +614,7 @@ def run_schedule(
                 sigma,
                 amp_now,
                 loss,
-                batch_loss,
+                last_batch_loss,
                 ex_loss,
                 sp,
                 sm,
@@ -669,16 +624,18 @@ def run_schedule(
             )
         )
 
-    if start_step == 0 and cfg.steps > 0:
-        probe(0, math.nan)
-
-    for k in range(start_step, cfg.steps):
+    # state k is probed (see above), then stepped unless it is the last one
+    for k in range(start_step, last + 1):
         # drift at the current state
         if exact_flow:
             dc, dZ = ws.flow_drift(target)
-            if plan.track_flow_energy:
-                extras["flow_energy"][k - start_step] = ws.flow_loss()
-        else:
+            if energy is not None:
+                energy[k - start_step] = ws.flow_loss()
+        if k == 0 or (k > start_step and (k % plan.probe_every == 0 or k == cfg.steps)):
+            probe(k)
+        if k == last:
+            break
+        if not exact_flow:
             if k == window_hi:
                 # the next window: as many steps of this batch size as fit,
                 # up to the next batch-size change
@@ -695,7 +652,7 @@ def run_schedule(
         if langevin and inv_beta_n > 0.0:
             dc, dZ = _add_prior(inv_beta_n, dc, dZ, c, Z, unit)
 
-        if plan.track_flow_energy and exact_flow:
+        if energy is not None:
             V = tangent_project_rows(dZ, Z)
             extras["flow_driftsq"][k - start_step] = float(np.dot(dc, dc) + np.sum(V * V))
 
@@ -710,17 +667,6 @@ def run_schedule(
                 noise_streams.cover(k, min(k + _NOISE_TABLE_STEPS, cfg.steps))
             noise = (amp, noise_streams.generator(k))
         ws.apply(dc, dZ, cfg.dt, k, noise)
-
-        step_done = k + 1
-        if step_done % plan.probe_every == 0 or step_done == cfg.steps:
-            probe(step_done, last_batch_loss)
-
-    if plan.track_flow_energy and exact_flow:
-        if cfg.steps > start_step:
-            ws.flow_drift(target)
-            extras["flow_energy"][cfg.steps - start_step] = ws.flow_loss()
-        else:
-            extras["flow_energy"] = extras["flow_energy"][:0]
 
     final = ws.ensemble()
     series = {name: np.array([r[i] for r in rows]) for i, name in enumerate(REPORT_COLUMNS)}

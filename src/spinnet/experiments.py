@@ -338,7 +338,7 @@ def cell_paths(out_dir: str, n: int, r: int, s: int) -> tuple[str, str]:
     )
 
 
-def run_cell(spec: ExperimentSpec, n: int, r: int, s: int) -> dict:
+def run_cell(spec: ExperimentSpec, n: int, r: int, s: int) -> None:
     """Run one grid cell and write its CSV + checkpoint.  Deterministic in
     (spec-hash, n, r, s) alone."""
     h = config_hash(spec)
@@ -392,19 +392,11 @@ def run_cell(spec: ExperimentSpec, n: int, r: int, s: int) -> dict:
             "train": cfg.to_dict(),
         },
     )
-    return {
-        "n": n,
-        "realization": r,
-        "seed_index": s,
-        "final_loss": float(final_loss_big),
-        "csv": os.path.basename(csv_path),
-        "checkpoint": os.path.basename(ckpt_path),
-    }
 
 
-def _run_cell_args(args) -> dict:
+def _run_cell_args(args) -> None:
     spec_mapping, n, r, s = args
-    return run_cell(spec_from_mapping(spec_mapping), n, r, s)
+    run_cell(spec_from_mapping(spec_mapping), n, r, s)
 
 
 def _run_grid(spec: ExperimentSpec) -> dict:
@@ -592,6 +584,15 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 # merging
 
 
+def _meta_int(meta: dict, key: str) -> int:
+    """meta[key] (default -1) as an int; a value that int() would change,
+    such as 3.7, is refused rather than truncated."""
+    value = meta.get(key, -1)
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"{key} = {value!r} is not an integer")
+    return int(value)
+
+
 def merge_reports(paths, force: bool = False) -> dict:
     """Fold run CSVs into one summary dict.
 
@@ -615,12 +616,10 @@ def merge_reports(paths, force: bool = False) -> dict:
         try:
             entry = {
                 "csv": os.path.basename(path),
-                "n": int(rep.meta.get("n", -1)),
-                "realization": int(rep.meta.get("realization", -1)),
-                "seed_index": int(rep.meta.get("seed_index", -1)),
+                **{key: _meta_int(rep.meta, key) for key in ("n", "realization", "seed_index")},
                 "final_loss": float(loss),
             }
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ReportError(f"{path}: malformed report meta or summaries ({err})") from None
         runs.append(entry)
         by_n.setdefault(entry["n"], []).append(float(loss))

@@ -405,22 +405,26 @@ def test_corrupt_input_files_exit_1(tmp_path):
     code, _, err = run_cli(["merge", str(csv)])
     assert code == 1 and stderr_json(err)["error"] == "ReportError"
     # meta or summaries that are not JSON objects, or hold the wrong types
+    # or a data row with more cells than columns
     meta = '{"config_hash": "x", "master_seed": 1}'
-    for meta_json, summaries_json in (
-        ("5", "{}"),
-        (meta, "3"),
-        ('{"config_hash": ["x"], "master_seed": 1}', "{}"),
-        ('{"config_hash": "x", "master_seed": 1, "n": "abc"}', "{}"),
+    zeros = ",".join(["0"] * 13)
+    for meta_json, summaries_json, row in (
+        ("5", "{}", zeros),
+        (meta, "3", zeros),
+        ('{"config_hash": ["x"], "master_seed": 1}', "{}", zeros),
+        ('{"config_hash": "x", "master_seed": 1, "n": "abc"}', "{}", zeros),
+        ('{"config_hash": "x", "master_seed": 1, "n": 3.7}', "{}", zeros),
+        (meta, "{}", zeros + ",99,zz"),
     ):
         csv.write_text(
             "# spinnet-report v1\n"
             f"# meta {meta_json}\n"
             f"# summaries {summaries_json}\n"
             + ",".join(REPORT_COLUMNS) + "\n"
-            + ",".join(["0"] * 13) + "\n"
+            + row + "\n"
         )
         code, stdout, err = run_cli(["merge", str(csv)])
-        assert code == 1 and stdout == "", (meta_json, summaries_json)
+        assert code == 1 and stdout == "", (meta_json, summaries_json, row)
         assert len(err.strip().splitlines()) == 1
         assert stderr_json(err)["error"] == "ReportError"
 

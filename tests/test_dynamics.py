@@ -19,11 +19,9 @@ from spinnet.dynamics import (
     langevin_step,
     load_checkpoint,
     noise_amplitude,
-    rbf_flow_step,
     run_schedule,
     save_checkpoint,
     sgd_drift,
-    sgd_step,
 )
 from spinnet.geometry import _sphere_rows_into, sample_sphere_rows
 from spinnet.rng import _StepStreams, stream
@@ -50,21 +48,21 @@ def test_flow_zero_weights_moves_only_c():
     Z = sample_sphere_rows(d, n, stream(32, "z"))
     e = ParticleEnsemble(unit=unit, c=np.zeros(n), z=Z)
     dt = 1e-3
-    e2 = rbf_flow_step(e, t, dt)
+    e2 = langevin_step(e, t, None, dt, math.inf, stream(32, "step"))
     assert np.array_equal(e2.z, Z)
     assert np.allclose(e2.c, dt * spin3_eval_rows(t, Z), rtol=0, atol=1e-18)
 
 
 def test_flow_planted_fixed_point_is_bitwise():
     _, target, e = planted_one_atom()
-    e2 = rbf_flow_step(e, target, 1e-3)
+    e2 = langevin_step(e, target, None, 1e-3, math.inf, stream(31, "step"))
     assert np.array_equal(e2.c, e.c)
     assert np.array_equal(e2.z, e.z)
 
 
 def test_sgd_planted_fixed_point_is_bitwise():
     _, target, e = planted_one_atom()
-    e2 = sgd_step(e, target, 16, 1e-3, stream(33, "batch"))
+    e2 = langevin_step(e, target, 16, 1e-3, math.inf, stream(33, "batch"))
     assert np.array_equal(e2.c, e.c)
     assert np.array_equal(e2.z, e.z)
 
@@ -74,7 +72,7 @@ def test_sgd_jordan_one_atom_fixed_point():
     z = sample_sphere_rows(3, 1, stream(34, "z"))
     target = PlantedTarget(unit=unit, weights=np.array([0.7]), locations=z)
     e = jordan_sample(target, 6, stream(34, "draw"))
-    e2 = sgd_step(e, target, 32, 1e-3, stream(34, "batch"))
+    e2 = langevin_step(e, target, 32, 1e-3, math.inf, stream(34, "batch"))
     assert np.array_equal(e2.c, e.c)
     assert np.array_equal(e2.z, e.z)
 
@@ -86,8 +84,8 @@ def test_dt_zero_is_bitwise_noop():
     gen = stream(35, "ens").generator()
     e = ParticleEnsemble(unit=unit, c=gen.standard_normal(10),
                          z=sample_sphere_rows(d, 10, gen))
-    for e2 in (rbf_flow_step(e, t, 0.0),
-               sgd_step(e, t, 8, 0.0, stream(35, "batch"))):
+    for e2 in (langevin_step(e, t, None, 0.0, math.inf, stream(35, "step")),
+               langevin_step(e, t, 8, 0.0, math.inf, stream(35, "batch"))):
         assert np.array_equal(e2.c, e.c)
         assert np.array_equal(e2.z, e.z)
 
@@ -98,7 +96,7 @@ def test_sgd_keeps_rbf_on_sphere():
     t = SpinTensor.sample(d, 11)
     e = InitSpec(c_law="normal").sample(unit, 12, stream(36, "init"))
     for k in range(50):
-        e = sgd_step(e, t, 16, 1e-2, stream(36, "batch", k))
+        e = langevin_step(e, t, 16, 1e-2, math.inf, stream(36, "batch", k))
     dev = np.max(np.abs(np.linalg.norm(e.z, axis=1) - np.sqrt(d)))
     assert dev < 1e-10
 
@@ -142,16 +140,18 @@ def test_noise_amplitude_formula():
 
 
 def test_beta_infinity_matches_sgd_bitwise():
-    d = 4
+    # beta = inf is the plain Euler step on the SGD drift of a draw_batch
+    # batch from the same stream (unconstrained units: no retraction)
+    d, dt = 4, 1e-3
     unit = SigmoidUnit(d=d)
     t = SpinTensor.sample(d, 17)
     gen = stream(38, "ens").generator()
     e = ParticleEnsemble(unit=unit, c=gen.standard_normal(8),
                          z=gen.standard_normal((8, d + 1)))
-    a = sgd_step(e, t, 16, 1e-3, stream(38, "step"))
-    b = langevin_step(e, t, 16, 1e-3, math.inf, stream(38, "step").generator())
-    assert np.array_equal(a.c, b.c)
-    assert np.array_equal(a.z, b.z)
+    dc, dZ = sgd_drift(e, draw_batch(t, d, 16, stream(38, "step")))
+    b = langevin_step(e, t, 16, dt, math.inf, stream(38, "step").generator())
+    assert np.array_equal(e.c + dc * dt, b.c)
+    assert np.array_equal(e.z + dZ * dt, b.z)
 
 
 def test_gaussian_prior_gradients():
@@ -370,6 +370,39 @@ def test_exact_loss_column_is_the_flow_energy_bitwise(monkeypatch, pair_block):
     assert np.array_equal(report.series["exact_loss"], report.extras["flow_energy"][steps])
 
 
+def test_exact_flow_probes_read_the_drift_pass(monkeypatch):
+    # an exact-flow probe takes its exact loss from the drift of the state
+    # it records; only a batch state has to evaluate the pair loss on its own
+    def refuse(*args):
+        raise AssertionError("rbf_exact_loss called for an exact-flow state")
+
+    monkeypatch.setattr(dyn, "rbf_exact_loss", refuse)
+    d, n = 5, 16
+    unit = RbfUnit(alpha=1.0, d=d)
+    t = SpinTensor.sample(d, 89)
+    plan = DiagnosticPlan(probe_every=7, eval_batch=draw_batch(t, d, 64, stream(89, "eval")),
+                          track_flow_energy=True)
+    for kind, extra in (("gd", {}), ("langevin", {"beta": 1e3})):
+        cfg = TrainConfig(dt=1e-3, steps=20, dynamics=kind, init=InitSpec(c_law="normal"),
+                          master_seed=89, **extra)
+        e0 = cfg.init.sample(unit, n, stream(89, "init"))
+        _, report = run_schedule(cfg, e0, t, plan)
+        steps = report.series["step"]
+        assert steps.tolist() == [0, 7, 14, 20]
+        assert np.array_equal(report.series["exact_loss"], report.extras["flow_energy"][steps])
+        # resuming at the last step records nothing
+        _, tail = run_schedule(cfg, e0, t, plan, start_step=cfg.steps)
+        assert tail.rows == 0
+        assert tail.extras["flow_energy"].shape == (0,)
+        assert tail.extras["flow_driftsq"].shape == (0,)
+    monkeypatch.undo()
+    cfg = sgd_cfg(20, seed=89)
+    e0 = cfg.init.sample(unit, n, stream(89, "init"))
+    final, report = run_schedule(cfg, e0, t, plan)
+    assert "flow_energy" not in report.extras
+    assert report.series["exact_loss"][-1] == diag.rbf_exact_loss(final, t)
+
+
 def test_flow_monotone_descent_with_euler_tolerance():
     d, n = 5, 16
     unit = RbfUnit(alpha=1.0, d=d)
@@ -448,7 +481,7 @@ def test_run_schedule_equals_repeated_flow_steps_bitwise():
     final, _ = run_schedule(cfg, e0, t, DiagnosticPlan())
     e = e0
     for _ in range(cfg.steps):
-        e = rbf_flow_step(e, t, cfg.dt)
+        e = langevin_step(e, t, None, cfg.dt, math.inf, stream(53, "step"))
     assert np.array_equal(final.c, e.c)
     assert np.array_equal(final.z, e.z)
 
@@ -524,7 +557,7 @@ def test_run_schedule_equals_repeated_sgd_steps_bitwise(monkeypatch, unit, pair_
     e = e0
     for k in range(cfg.steps):
         P = 12 if k < 15 else 40
-        e = sgd_step(e, t, P, cfg.dt, stream(cfg.master_seed, "batch", k))
+        e = langevin_step(e, t, P, cfg.dt, math.inf, stream(cfg.master_seed, "batch", k))
     assert not np.array_equal(final.c, e0.c)
     assert np.array_equal(final.c, e.c)
     assert np.array_equal(final.z, e.z)
@@ -585,7 +618,7 @@ def test_batch_windows_equal_repeated_sgd_steps(monkeypatch, entries, floor):
     final, _ = run_schedule(cfg, e0, t, DiagnosticPlan())
     e = e0
     for k in range(cfg.steps):
-        e = sgd_step(e, t, 12 if k < 15 else 40, cfg.dt, stream(73, "batch", k))
+        e = langevin_step(e, t, 12 if k < 15 else 40, cfg.dt, math.inf, stream(73, "batch", k))
     assert np.array_equal(final.c, e.c)
     assert np.array_equal(final.z, e.z)
 

@@ -12,7 +12,9 @@ fresh interpreter with that tree first on PYTHONPATH and one BLAS thread:
 * ``train --preset paper-rbf-d5 --scale 0.01`` and
   ``train --preset paper-sigmoid-d10 --scale 0.01``;
 * the sigmoid preset as batch Langevin (``--set dynamics=langevin --set
-  beta=1000``), the one job that draws batch and noise streams together.
+  beta=1000``), the one job that draws batch and noise streams together;
+* the rbf preset as SGD from normal weights (``sgd-rbf-d5``), the one job
+  whose probes evaluate the pair loss of a batch state.
 
 Every file a job writes (run CSVs, checkpoints, ``summary.json``,
 ``failures.json``) must exist on both sides with the same bytes, and the
@@ -38,6 +40,9 @@ PRESETS = (
     ("preset-sigmoid-d10", ("train", "--preset", "paper-sigmoid-d10", "--scale", "0.01")),
     ("langevin-sigmoid-d10", ("train", "--preset", "paper-sigmoid-d10", "--scale", "0.01",
                               "--set", "dynamics=langevin", "--set", "beta=1000")),
+    ("sgd-rbf-d5", ("train", "--preset", "paper-rbf-d5", "--scale", "0.01",
+                    "--set", "dynamics=sgd", "--set", "c_init=normal",
+                    "--set", "n_list=16,64", "--set", "realizations=1")),
 )
 SKIPPED = {"config.cfg"}
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
