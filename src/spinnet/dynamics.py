@@ -34,16 +34,15 @@ import numpy as np
 
 from .diagnostics import (
     Batch,
-    EmptyBatchError,
     ExperimentReport,
     REPORT_COLUMNS,
     _atomic_write,
     _block_rows,
     _check_on_sphere,
-    _check_values,
     _pair_block,
     _rbf_pair_sums_into,
     batch_residual,
+    draw_batch,
     rbf_exact_loss,
     residual_loss,
     residual_signed_split,
@@ -61,7 +60,6 @@ from .rng import _StepStreams, generator_for
 from .targets import (
     _SPIN3_CHUNK,
     DimensionMismatchError,
-    PlantedTarget,
     SpinTensor,
     _spin3_eval_into,
     _spin3_grad_into,
@@ -268,11 +266,11 @@ class _Workspace:
     c and Z hold the current ensemble and are updated in place by apply().
     flow_drift() writes the exact-flow drift of the current state into
     dc and dZ (RBF ensembles only; exact=True allocates its buffers).
-    draw_window() fills a window of `window` rows (default `batch`) with the
-    batches of consecutive steps, batch_at() returns one of them with its
-    target values, and batch_drift() writes the SGD drift of a batch of up
-    to `batch` points (or of a caller's) into dc and dZ, walking it in
-    feature blocks of _PAIR_CHUNK_ENTRIES entries.
+    draw_window() fills a window of `window` rows (at least `batch`) with
+    the batches of consecutive steps, batch_at() returns one of them with
+    its target values, and batch_drift() writes the SGD drift of a batch of
+    up to `batch` points into dc and dZ, walking it in feature blocks of
+    _PAIR_CHUNK_ENTRIES entries.
     """
 
     def __init__(self, unit, c: np.ndarray, Z: np.ndarray, exact: bool = False,
@@ -300,8 +298,8 @@ class _Workspace:
             self.feat, self.WF, self.S = (np.empty((rows, n)) for _ in range(3))
             self.net = np.empty(rows)
             self.acc, self.gsum = np.empty((n, p)), np.empty((n, p))
+        if window > 0:
             d, block = unit.d, min(batch, _SPIN3_CHUNK)
-            window = max(window, batch)
             self.X, self.xtmp = np.empty((window, d)), np.empty((window, d))
             self.xn, self.y = np.empty(window), np.empty(batch)
             self.xm1, self.xm2 = np.empty((block, d * d)), np.empty((block, 1, d))
@@ -331,7 +329,7 @@ class _Workspace:
         np.subtract(dZ, self.tmp, out=dZ)
         return dc, dZ
 
-    def draw_window(self, P: int, count: int, gen_at, replay: bool = True) -> None:
+    def draw_window(self, P: int, count: int, gen_at) -> None:
         """Fill the first count * P window rows with count batches of P
         uniform points on S^{d-1}(sqrt(d)), batch i drawn from gen_at(i) as
         _sphere_rows_into draws it, then check them on the sphere.
@@ -339,12 +337,8 @@ class _Workspace:
         gen_at(i) returns the generator at the start of batch i's stream.
         For a batch with a row below the norm floor it is called again, the
         batch's first draw is replayed from it, and the redraw loop runs on
-        the batch.  replay=False (count 1) is for a generator that cannot be
-        rewound, such as a caller's: the redraw loop continues from where
-        the first draw left it.
+        the batch.
         """
-        if P < 1:
-            raise EmptyBatchError(f"batch size must be >= 1, got {P}")
         d, rows = self.unit.d, P * count
         X, nrm, tmp = self.X[:rows], self.xn[:rows], self.xtmp[:rows]
         for i in range(count):
@@ -355,8 +349,7 @@ class _Workspace:
             for i in np.unique(np.flatnonzero(short) // P).tolist():
                 rows_i = slice(i * P, (i + 1) * P)
                 gen = gen_at(i)
-                if replay:
-                    gen.standard_normal(out=X[rows_i])
+                gen.standard_normal(out=X[rows_i])
                 _redraw_short_rows(d, gen, X[rows_i], nrm[rows_i], tmp[rows_i])
         _scale_to_sphere(X, nrm)
         _check_on_sphere(X, nrm, tmp)
@@ -364,25 +357,13 @@ class _Workspace:
     def batch_at(self, target, i: int, P: int):
         """(X, y): batch i of the last draw_window(P, ...) and its target
         values, y in the workspace."""
-        d = self.unit.d
         X = self.X[i * P : (i + 1) * P]
         y = self.y[:P]
         if isinstance(target, SpinTensor):
-            if target.d != d:
-                raise DimensionMismatchError(f"points have d = {d}, tensor d = {target.d}")
-            vals = _spin3_eval_into(target, X, y, self.xm1, self.xm2)
+            _spin3_eval_into(target, X, y, self.xm1, self.xm2)
         else:
-            vals = np.asarray(evaluate_target(target, X), dtype=np.float64)
-        _check_values(X, vals)
-        if vals is not y:
-            y[:] = vals
+            y[:] = evaluate_target(target, X)
         return X, y
-
-    def draw(self, target, P: int, gen: np.random.Generator):
-        """(X, y): P fresh uniform points from gen and their target values,
-        as draw_batch(target, d, P, gen) draws them."""
-        self.draw_window(P, 1, lambda i: gen, replay=False)
-        return self.batch_at(target, 0, P)
 
     def batch_drift(self, X: np.ndarray, y: np.ndarray):
         """SGD drift (dc, dZ) of the batch (X, y) at the current state and
@@ -476,6 +457,13 @@ def _add_prior(inv: float, dc, dZ, c, Z, unit):
     return dc, dZ
 
 
+def _check_target_d(target, unit) -> None:
+    """Raise DimensionMismatchError unless a SpinTensor target lives in the
+    unit's input dimension."""
+    if isinstance(target, SpinTensor) and target.d != unit.d:
+        raise DimensionMismatchError(f"points have d = {unit.d}, tensor d = {target.d}")
+
+
 def sgd_drift(e: ParticleEnsemble, batch: Batch):
     """(dc, dZ) ambient drift for a given batch (no step applied)."""
     ws = _Workspace(e.unit, e.c, e.z, batch=batch.P)
@@ -506,11 +494,13 @@ def langevin_step(
     exact = batch_size is None
     if exact and not isinstance(e.unit, RbfUnit):
         raise ScheduleError("exact-drift langevin requires an RBF ensemble")
+    _check_target_d(target, e.unit)
     ws = _Workspace(e.unit, e.c, e.z, exact=exact, batch=batch_size or 0)
     if exact:
         dc, dZ = ws.flow_drift(target)
     else:
-        dc, dZ, _ = ws.batch_drift(*ws.draw(target, batch_size, gen))
+        batch = draw_batch(target, e.unit.d, batch_size, gen)
+        dc, dZ, _ = ws.batch_drift(batch.points, batch.target_values)
     if math.isinf(beta):
         ws.apply(dc, dZ, dt, 0)
     else:
@@ -536,9 +526,7 @@ def _active(schedule: tuple, step: int, default):
 def _target_key(target) -> dict:
     if isinstance(target, SpinTensor):
         return target.to_dict()
-    if isinstance(target, PlantedTarget):
-        return {"kind": "planted", "atoms": int(target.weights.size)}
-    return {"kind": type(target).__name__}
+    return {"kind": "planted", "atoms": int(target.weights.size)}
 
 
 def run_schedule(
@@ -562,6 +550,7 @@ def run_schedule(
     exact_flow = cfg.dynamics == "gd" or (cfg.dynamics == "langevin" and not cfg.batch_schedule)
     if exact_flow and not isinstance(unit, RbfUnit):
         raise ScheduleError("batch-free dynamics requires an RBF ensemble")
+    _check_target_d(target, unit)
     n = e0.n
     P_max = max((P for _, P in cfg.batch_schedule), default=0)
     window = max(P_max, _WINDOW_ENTRIES // unit.d) if P_max else 0

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -32,6 +32,7 @@ from .diagnostics import (
     read_report,
 )
 from .dynamics import (
+    DYNAMICS_KINDS,
     DiagnosticPlan,
     InitSpec,
     ScheduleError,
@@ -60,62 +61,39 @@ EXPERIMENT_KINDS = (
     "gradcheck",
 )
 
-# field name -> (type tag, default); None default means required
-_SPEC_FIELDS = {
-    "experiment": ("str", "train"),
-    "d": ("int", None),
-    "unit": ("str", None),
-    "alpha": ("opt_float", None),
-    "n_list": ("int_list", None),
-    "realizations": ("int", 1),
-    "seeds": ("int", 1),
-    "dynamics": ("str", None),
-    "dt": ("float", 1e-3),
-    "steps": ("int", None),
-    "batch_divisor": ("float", 5.0),
-    "quench_frac": ("opt_float", None),
-    "noise_beta": ("opt_float", None),
-    "noise_until_frac": ("float", 0.5),
-    "beta": ("opt_float", None),
-    "c_init": ("str", "zero"),
-    "probe_every": ("int", 100),
-    "eval_batch_size": ("int", 4096),
-    "final_eval_batch_size": ("int", 100000),
-    "master_seed": ("int", 1),
-    "out_dir": ("str", "runs"),
-    "threads": ("int", 1),
-}
-
 # execution parameters that do not change what is computed
 _UNHASHED = ("out_dir", "threads")
 
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentSpec:
-    experiment: str
+    """The config schema: one field per key, in config_hash and config.cfg
+    order; a field without a default is a required key."""
+
+    experiment: str = "train"
     d: int
     unit: str
-    alpha: float | None
+    alpha: float | None = None
     n_list: tuple
-    realizations: int
-    seeds: int
+    realizations: int = 1
+    seeds: int = 1
     dynamics: str
-    dt: float
+    dt: float = 1e-3
     steps: int
-    batch_divisor: float
-    quench_frac: float | None
-    noise_beta: float | None
-    noise_until_frac: float
-    beta: float | None
-    c_init: str
-    probe_every: int
-    eval_batch_size: int
-    final_eval_batch_size: int
-    master_seed: int
-    out_dir: str
-    threads: int
+    batch_divisor: float = 5.0
+    quench_frac: float | None = None
+    noise_beta: float | None = None
+    noise_until_frac: float = 0.5
+    beta: float | None = None
+    c_init: str = "zero"
+    probe_every: int = 100
+    eval_batch_size: int = 4096
+    final_eval_batch_size: int = 100000
+    master_seed: int = 1
+    out_dir: str = "runs"
+    threads: int = 1
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_KINDS:
@@ -128,7 +106,7 @@ class ExperimentSpec:
             raise ConfigError(f"n_list must be positive ints, got {self.n_list}")
         if list(self.n_list) != sorted(set(self.n_list)):
             raise ConfigError(f"n_list must be strictly increasing, got {self.n_list}")
-        if self.dynamics not in ("gd", "sgd", "langevin"):
+        if self.dynamics not in DYNAMICS_KINDS:
             raise ConfigError(f"unknown dynamics {self.dynamics!r}")
         if self.dynamics == "gd" and self.unit != "rbf":
             raise ConfigError("exact-flow dynamics requires the rbf unit")
@@ -188,20 +166,25 @@ def _format_value(name: str, value) -> str:
     return str(value)
 
 
-def _parse_value(name: str, tag: str, raw: str):
+# field annotation -> parser of the raw config value
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "float | None": lambda raw: None if raw == "" else float(raw),
+    "tuple": lambda raw: tuple(int(p) for p in raw.split(",") if p.strip() != ""),
+    "str": str,
+}
+
+# config key -> ExperimentSpec field, in the field order
+_FIELDS = {f.name: f for f in fields(ExperimentSpec)}
+
+
+def _parse_value(f, raw: str):
     raw = raw.strip()
     try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "opt_float":
-            return None if raw == "" else float(raw)
-        if tag == "int_list":
-            return tuple(int(p) for p in raw.split(",") if p.strip() != "")
-        return raw
+        return _PARSERS[f.type](raw)
     except ValueError as err:
-        raise ConfigError(f"bad value for {name}: {raw!r} ({err})") from None
+        raise ConfigError(f"bad value for {f.name}: {raw!r} ({err})") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -215,7 +198,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {ln}: expected 'key = value', got {line!r}")
         key, val = line.split("=", 1)
         key = key.strip()
-        if key not in _SPEC_FIELDS:
+        if key not in _FIELDS:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
         out[key] = val.strip()
     return out
@@ -223,14 +206,12 @@ def parse_config_text(text: str) -> dict:
 
 def spec_from_mapping(mapping: dict) -> ExperimentSpec:
     kwargs = {}
-    for name, (tag, default) in _SPEC_FIELDS.items():
-        if name in mapping:
-            kwargs[name] = _parse_value(name, tag, str(mapping[name]))
-        elif default is not None or tag == "opt_float":
-            kwargs[name] = default
-        else:
-            raise ConfigError(f"missing required config key {name!r}")
-    unknown = set(mapping) - set(_SPEC_FIELDS)
+    for f in _FIELDS.values():
+        if f.name in mapping:
+            kwargs[f.name] = _parse_value(f, str(mapping[f.name]))
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required config key {f.name!r}")
+    unknown = set(mapping) - set(_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return ExperimentSpec(**kwargs)
@@ -238,7 +219,7 @@ def spec_from_mapping(mapping: dict) -> ExperimentSpec:
 
 def spec_to_config_text(spec: ExperimentSpec) -> str:
     lines = []
-    for name in _SPEC_FIELDS:
+    for name in _FIELDS:
         value = getattr(spec, name)
         if value is None:
             continue
@@ -248,7 +229,7 @@ def spec_to_config_text(spec: ExperimentSpec) -> str:
 
 def config_hash(spec: ExperimentSpec) -> str:
     lines = []
-    for name in _SPEC_FIELDS:
+    for name in _FIELDS:
         if name in _UNHASHED:
             continue
         value = getattr(spec, name)
@@ -285,7 +266,7 @@ def build_spec(
             mapping.update(parse_config_text(fh.read()))
     if overrides:
         for key in overrides:
-            if key not in _SPEC_FIELDS:
+            if key not in _FIELDS:
                 raise ConfigError(f"unknown config key {key!r}")
         mapping.update({k: str(v) for k, v in overrides.items()})
     spec = spec_from_mapping(mapping)
@@ -394,11 +375,6 @@ def run_cell(spec: ExperimentSpec, n: int, r: int, s: int) -> None:
     )
 
 
-def _run_cell_args(args) -> None:
-    spec_mapping, n, r, s = args
-    run_cell(spec_from_mapping(spec_mapping), n, r, s)
-
-
 def _run_grid(spec: ExperimentSpec) -> dict:
     """Execute every cell, then merge.  Worker processes each own whole
     cells and write only their own files, so output bytes do not depend on
@@ -412,9 +388,8 @@ def _run_grid(spec: ExperimentSpec) -> dict:
             except Exception as err:  # noqa: BLE001 - cell isolation
                 failures.append({"cell": [n, r, s], "error": f"{type(err).__name__}: {err}"})
     else:
-        mapping = parse_config_text(spec_to_config_text(spec))
         with ProcessPoolExecutor(max_workers=spec.threads) as pool:
-            futs = {pool.submit(_run_cell_args, (mapping, n, r, s)): (n, r, s) for n, r, s in cells}
+            futs = {pool.submit(run_cell, spec, n, r, s): (n, r, s) for n, r, s in cells}
             for fut, cell in futs.items():
                 try:
                     fut.result()

@@ -7,7 +7,8 @@ so realizations can be pinned across runs without shipping d^3 floats.
 
 A planted target is a finite signed mixture of units, f(x) = sum_k w_k
 phihat(x, z_k); it gives initializations and fixed points with known
-structure.
+structure.  These two are the only targets: evaluate_target and
+target_grad_rows refuse anything else with a TypeError.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ class SpinTensor:
     d: int
     seed: int
     a: np.ndarray
-    _sym: np.ndarray | None = field(default=None, init=False, repr=False)
     _sym_qpr: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -53,18 +53,13 @@ class SpinTensor:
         gen = stream(seed, "spin-tensor").generator()
         return cls(d=d, seed=seed, a=gen.standard_normal((d, d, d)))
 
-    def symmetrized(self) -> np.ndarray:
-        """a_pqr + a_rpq + a_qrp, cached; used only by the gradient."""
-        if self._sym is None:
-            a = self.a
-            self._sym = a + a.transpose((1, 2, 0)) + a.transpose((2, 0, 1))
-        return self._sym
-
     def _grad_matrix(self) -> np.ndarray:
-        """symmetrized() laid out as a (q, p r) matrix, cached for the gradient."""
+        """The symmetrized tensor a_pqr + a_rpq + a_qrp laid out as a
+        (q, p r) matrix, cached for the gradient."""
         if self._sym_qpr is None:
-            d = self.d
-            self._sym_qpr = self.symmetrized().transpose((1, 0, 2)).reshape(d, d * d)
+            a, d = self.a, self.d
+            sym = a + a.transpose((1, 2, 0)) + a.transpose((2, 0, 1))
+            self._sym_qpr = sym.transpose((1, 0, 2)).reshape(d, d * d)
         return self._sym_qpr
 
     def to_dict(self) -> dict:
@@ -200,18 +195,18 @@ def jordan_sample(p: PlantedTarget, n: int, rng):
 
 
 def evaluate_target(target, X: np.ndarray) -> np.ndarray:
-    """Uniform dispatch: SpinTensor, PlantedTarget, or plain callable."""
+    """Target values at the rows of X for a SpinTensor or a PlantedTarget;
+    any other object raises TypeError."""
     if isinstance(target, SpinTensor):
         return spin3_eval_rows(target, X)
     if isinstance(target, PlantedTarget):
         return target.eval_rows(X)
-    if callable(target):
-        return np.asarray(target(np.atleast_2d(X)), dtype=np.float64)
     raise TypeError(f"cannot evaluate target of type {type(target).__name__}")
 
 
 def target_grad_rows(target, Z: np.ndarray) -> np.ndarray:
-    """Ambient input-space gradient rows for targets that define one."""
+    """Ambient input-space gradient rows of a SpinTensor or a PlantedTarget;
+    any other object raises TypeError."""
     if isinstance(target, SpinTensor):
         return spin3_grad_rows(target, Z)
     if isinstance(target, PlantedTarget):

@@ -132,6 +132,13 @@ def test_config_hash_ignores_execution_fields():
     assert config_hash(spec_from_mapping(dict(m, steps="51"))) != h
 
 
+def test_preset_config_hashes_are_pinned():
+    # the hash names every artifact of a run; it must not move with the code
+    # that declares the schema
+    assert config_hash(build_spec(preset="paper-rbf-d5")) == "b015ca59840d76f9"
+    assert config_hash(build_spec(preset="paper-sigmoid-d10")) == "ac2046beccedaf84"
+
+
 def test_spec_validation():
     m = parse_config_text(TINY)
     for bad in (

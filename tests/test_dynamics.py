@@ -25,7 +25,13 @@ from spinnet.dynamics import (
 )
 from spinnet.geometry import _sphere_rows_into, sample_sphere_rows
 from spinnet.rng import _StepStreams, stream
-from spinnet.targets import PlantedTarget, SpinTensor, jordan_sample, spin3_eval_rows
+from spinnet.targets import (
+    DimensionMismatchError,
+    PlantedTarget,
+    SpinTensor,
+    jordan_sample,
+    spin3_eval_rows,
+)
 from spinnet.units import ParticleEnsemble, RbfUnit, SigmoidUnit
 
 
@@ -446,6 +452,26 @@ def test_step_failure_carries_the_step_index():
     assert str(err.value) == "non-finite position at step 0, particle 0"
 
 
+@pytest.mark.parametrize("batch", [None, 8])
+def test_tensor_of_another_d_is_refused_before_the_first_step(batch):
+    # a d=4 tensor against d=5 units, exact flow (gd, exact-drift langevin)
+    # and batch dynamics alike
+    unit = RbfUnit(alpha=1.0, d=5)
+    t = SpinTensor.sample(4, 53)
+    e0 = InitSpec(c_law="normal").sample(unit, 6, stream(53, "init"))
+    sched = {} if batch is None else {"batch_schedule": ((0, batch),)}
+    kinds = ["langevin", "gd" if batch is None else "sgd"]
+    for kind, steps in ((k, s) for k in kinds for s in (0, 3)):
+        beta = {"beta": 1e3} if kind == "langevin" else {}
+        cfg = TrainConfig(dt=1e-3, steps=steps, dynamics=kind, init=InitSpec(c_law="normal"),
+                          master_seed=53, **sched, **beta)
+        with pytest.raises(DimensionMismatchError, match="points have d = 5, tensor d = 4"):
+            run_schedule(cfg, e0, t, DiagnosticPlan())
+    for beta in (1e3, math.inf):
+        with pytest.raises(DimensionMismatchError, match="points have d = 5, tensor d = 4"):
+            langevin_step(e0, t, batch, 1e-3, beta, stream(53, "step"))
+
+
 @pytest.mark.parametrize(
     "kind, dt, seed, pinned",
     [
@@ -661,12 +687,6 @@ def test_window_redraws_short_rows_as_the_per_step_sampler(monkeypatch):
                                  np.empty((P, d)), np.empty(P), np.empty((P, d)))
         assert np.array_equal(ws.X[k * P : (k + 1) * P], want)
         assert np.all(np.linalg.norm(want, axis=1) > 0)
-    # the caller's-generator path leaves the generator where the sampler does
-    gen, ref = stream(seed, "batch", 0).generator(), stream(seed, "batch", 0).generator()
-    X, _ = ws.draw(SpinTensor.sample(d, seed), P, gen)
-    assert np.array_equal(X, _sphere_rows_into(d, ref, np.empty((P, d)), np.empty(P),
-                                               np.empty((P, d))))
-    assert gen.standard_normal() == ref.standard_normal()
 
 
 @pytest.mark.parametrize("table", [None, 7])

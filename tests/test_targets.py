@@ -259,8 +259,8 @@ def test_evaluate_target_dispatch():
     X = sample_sphere_rows(3, 4, stream(15, "x"))
     assert np.array_equal(evaluate_target(t, X), spin3_eval_rows(t, X))
     fn = lambda pts: np.sum(pts, axis=1)
-    assert np.array_equal(evaluate_target(fn, X), X.sum(axis=1))
-    with pytest.raises(TypeError):
-        evaluate_target("not a target", X)
-    with pytest.raises(TypeError):
-        target_grad_rows(fn, X)
+    for bad in (fn, "not a target"):
+        with pytest.raises(TypeError):
+            evaluate_target(bad, X)
+        with pytest.raises(TypeError):
+            target_grad_rows(bad, X)
