@@ -9,7 +9,9 @@ JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
+import os
 import sys
 
 import numpy as np
@@ -162,9 +164,6 @@ def _cmd_slice(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    import glob
-    import os
-
     paths = []
     for p in args.inputs:
         if os.path.isdir(p):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import InvalidDimensionError, _sq_norms_into
+from .geometry import InvalidDimensionError, _sq_norms_into, sample_sphere_rows
 from .rng import stream
 from .targets import evaluate_target
 from .units import ParticleEnsemble, RbfUnit, network_eval_rows
@@ -100,8 +100,6 @@ class Batch:
 
 def draw_batch(target, d: int, P: int, rng) -> Batch:
     """Fresh uniform batch on the sphere with target values attached."""
-    from .geometry import sample_sphere_rows
-
     if P < 1:
         raise EmptyBatchError(f"batch size must be >= 1, got {P}")
     X = sample_sphere_rows(d, P, rng)

@@ -56,10 +56,11 @@ from .geometry import (
     _tangent_project_into,
     tangent_project_rows,
 )
-from .rng import _StepStreams, generator_for
+from .rng import RngStream, _StepStreams, generator_for
 from .targets import (
     _SPIN3_CHUNK,
     DimensionMismatchError,
+    PlantedTarget,
     SpinTensor,
     _spin3_eval_into,
     _spin3_grad_into,
@@ -111,8 +112,8 @@ class InitSpec:
             or (isinstance(c, tuple) and len(c) == 3 and c[0] == "uniform")
         ):
             raise ScheduleError(f"unknown c_law: {c!r}")
-        if isinstance(c, tuple) and not (float(c[1]) <= float(c[2])):
-            raise ScheduleError(f"uniform c_law needs lo <= hi, got {c!r}")
+        if isinstance(c, tuple) and not (0.0 <= float(c[2]) - float(c[1]) < math.inf):
+            raise ScheduleError(f"uniform c_law needs lo <= hi and a finite hi - lo, got {c!r}")
 
     def sample(self, unit, n: int, rng) -> ParticleEnsemble:
         """Draw an ensemble; weights are drawn first, then positions."""
@@ -141,10 +142,11 @@ def init_from_string(text: str) -> InitSpec:
     if text in ("zero", "normal"):
         return InitSpec(c_law=text)
     if text.startswith("uniform:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ScheduleError(f"bad uniform c_law: {text!r}")
-        return InitSpec(c_law=("uniform", float(parts[1]), float(parts[2])))
+        try:
+            lo, hi = (float(p) for p in text.split(":")[1:])
+        except ValueError:
+            raise ScheduleError(f"bad uniform c_law: {text!r}") from None
+        return InitSpec(c_law=("uniform", lo, hi))
     raise ScheduleError(f"unknown c_law string: {text!r}")
 
 
@@ -184,8 +186,8 @@ class TrainConfig:
     beta: float | None = None
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise ScheduleError(f"dt must be positive, got {self.dt}")
+        if not (0 < self.dt < math.inf):
+            raise ScheduleError(f"dt must be positive and finite, got {self.dt}")
         if self.steps < 0:
             raise ScheduleError(f"steps must be >= 0, got {self.steps}")
         if self.dynamics not in DYNAMICS_KINDS:
@@ -458,10 +460,12 @@ def _add_prior(inv: float, dc, dZ, c, Z, unit):
 
 
 def _check_target_d(target, unit) -> None:
-    """Raise DimensionMismatchError unless a SpinTensor target lives in the
-    unit's input dimension."""
+    """Raise DimensionMismatchError unless a SpinTensor or PlantedTarget
+    target lives in the unit's input dimension."""
     if isinstance(target, SpinTensor) and target.d != unit.d:
         raise DimensionMismatchError(f"points have d = {unit.d}, tensor d = {target.d}")
+    if isinstance(target, PlantedTarget) and target.unit.d != unit.d:
+        raise DimensionMismatchError(f"points have d = {unit.d}, planted d = {target.unit.d}")
 
 
 def sgd_drift(e: ParticleEnsemble, batch: Batch):
@@ -490,8 +494,11 @@ def langevin_step(
         raise ScheduleError(f"dt must be >= 0, got {dt}")
     if not (beta > 0):
         raise ScheduleError(f"beta must be positive, got {beta}")
-    gen = generator_for(rng)
     exact = batch_size is None
+    if exact and math.isinf(beta) and isinstance(rng, RngStream):
+        gen = None  # the step draws nothing, so no generator is built
+    else:
+        gen = generator_for(rng)
     if exact and not isinstance(e.unit, RbfUnit):
         raise ScheduleError("exact-drift langevin requires an RBF ensemble")
     _check_target_d(target, e.unit)

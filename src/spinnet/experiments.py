@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
@@ -27,24 +26,25 @@ from .diagnostics import (
     Batch,
     ReportError,
     _atomic_write,
+    draw_batch,
     empirical_loss,
     fit_scaling_slope,
+    init_fluctuation_variance,
     read_report,
 )
 from .dynamics import (
-    DYNAMICS_KINDS,
     DiagnosticPlan,
     InitSpec,
-    ScheduleError,
     TrainConfig,
     init_from_string,
     noise_amplitude,
     run_schedule,
     save_checkpoint,
+    sgd_drift,
 )
 from .geometry import sample_sphere_rows
 from .rng import stream, subseed
-from .targets import SpinTensor, evaluate_target
+from .targets import SpinTensor, evaluate_target, spin3_grad_rows
 from .units import RbfUnit, SigmoidUnit
 
 
@@ -63,8 +63,6 @@ EXPERIMENT_KINDS = (
 
 # execution parameters that do not change what is computed
 _UNHASHED = ("out_dir", "threads")
-
-_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -96,6 +94,8 @@ class ExperimentSpec:
     threads: int = 1
 
     def __post_init__(self):
+        """Check the rules that belong to the spec, then build what a cell
+        builds, so a value any of those objects refuses is a ConfigError."""
         if self.experiment not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.d < 2:
@@ -106,41 +106,29 @@ class ExperimentSpec:
             raise ConfigError(f"n_list must be positive ints, got {self.n_list}")
         if list(self.n_list) != sorted(set(self.n_list)):
             raise ConfigError(f"n_list must be strictly increasing, got {self.n_list}")
-        if self.dynamics not in DYNAMICS_KINDS:
-            raise ConfigError(f"unknown dynamics {self.dynamics!r}")
         if self.dynamics == "gd" and self.unit != "rbf":
             raise ConfigError("exact-flow dynamics requires the rbf unit")
-        if self.steps < 0 or self.realizations < 1 or self.seeds < 1:
-            raise ConfigError("steps must be >= 0; realizations, seeds >= 1")
-        if not (self.dt > 0):
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        if self.realizations < 1 or self.seeds < 1:
+            raise ConfigError("realizations and seeds must be >= 1")
         if self.quench_frac is not None and not (0.0 < self.quench_frac < 1.0):
             raise ConfigError(f"quench_frac must be in (0,1), got {self.quench_frac}")
         if not (self.batch_divisor > 0):
             raise ConfigError("batch_divisor must be positive")
-        if self.probe_every < 1 or self.eval_batch_size < 1 or self.final_eval_batch_size < 1:
-            raise ConfigError("probe_every and eval batch sizes must be >= 1")
+        if self.eval_batch_size < 1 or self.final_eval_batch_size < 1:
+            raise ConfigError("eval batch sizes must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if self.unit == "rbf" and self._kernel_alpha * self.d > _LOG_DBL_MAX:
-            # phihat = exp(alpha x.z) peaks at exp(alpha d) on the sphere
-            raise ConfigError(
-                f"alpha * d = {self._kernel_alpha * self.d!r} overflows the rbf kernel "
-                f"exp(alpha x.z); it must be <= ln(DBL_MAX) = {_LOG_DBL_MAX:.2f}"
-            )
         try:
-            init_from_string(self.c_init)
-        except ScheduleError as err:
+            self.build_unit()
+            for n in self.n_list:
+                _train_config(self, n, 0)
+            DiagnosticPlan(probe_every=self.probe_every)
+        except (ValueError, OverflowError) as err:
             raise ConfigError(str(err)) from None
-
-    @property
-    def _kernel_alpha(self) -> float:
-        """The rbf kernel's alpha: the configured one, else 5/d."""
-        return self.alpha if self.alpha is not None else 5.0 / self.d
 
     def build_unit(self):
         if self.unit == "rbf":
-            return RbfUnit(alpha=self._kernel_alpha, d=self.d)
+            return RbfUnit(alpha=5.0 / self.d if self.alpha is None else self.alpha, d=self.d)
         return SigmoidUnit(d=self.d)
 
     def batch_size(self, n: int) -> int:
@@ -413,8 +401,6 @@ def run_clt_check(spec: ExperimentSpec, rtol: float = 0.15) -> dict:
     compares it with the single-unit Monte Carlo prediction Var[c phihat].
     Both vanish identically for the zero weight law.
     """
-    from .diagnostics import init_fluctuation_variance
-
     if spec.seeds < 2:
         raise ConfigError("clt-check needs seeds >= 2 to estimate a variance")
     unit = spec.build_unit()
@@ -465,10 +451,6 @@ def run_gradcheck(spec: ExperimentSpec, cases: int = 20, tol: float = 1e-6) -> d
     the target gradient, unit parameter and input gradients, and the SGD
     drift against the batch loss.  All gradients are ambient, so the
     difference quotients never need the constraint."""
-    from .diagnostics import draw_batch
-    from .dynamics import sgd_drift
-    from .targets import spin3_grad_rows
-
     d = spec.d
     unit = spec.build_unit()
     tensor = SpinTensor.sample(d, subseed(spec.master_seed, "tensor", 0))

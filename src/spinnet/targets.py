@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import generator_for, stream
+from .units import ParticleEnsemble
 
 
 class DimensionMismatchError(ValueError):
@@ -180,8 +181,6 @@ def jordan_sample(p: PlantedTarget, n: int, rng):
     every particle weight is +/- total_variation with the sign of its atom,
     so the expected network equals the mixture pointwise.
     """
-    from .units import ParticleEnsemble
-
     if n < 1:
         raise DimensionMismatchError(f"n must be >= 1, got {n}")
     gen = generator_for(rng)

@@ -22,7 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import InvalidDimensionError
+from .geometry import InvalidDimensionError, sample_sphere_rows
+
+# the largest alpha * d whose kernel peak exp(alpha d) is a finite double
+_LOG_DBL_MAX = float(np.log(np.finfo(np.float64).max))
 
 
 class UnitMismatchError(ValueError):
@@ -63,6 +66,12 @@ class RbfUnit:
             raise InvalidDimensionError(f"d must be >= 1, got {self.d}")
         if not (self.alpha >= 0.0):
             raise InvalidDimensionError(f"alpha must be >= 0, got {self.alpha}")
+        if self.alpha * self.d > _LOG_DBL_MAX:
+            # phihat = exp(alpha x.z) peaks at exp(alpha d) on the sphere
+            raise InvalidDimensionError(
+                f"alpha * d = {self.alpha * self.d!r} overflows the rbf kernel "
+                f"exp(alpha x.z); it must be <= ln(DBL_MAX) = {_LOG_DBL_MAX:.2f}"
+            )
 
     @property
     def param_dim(self) -> int:
@@ -133,8 +142,6 @@ class RbfUnit:
         return self.alpha * f[:, None] * z[None, :]
 
     def init_rows(self, n: int, gen: np.random.Generator) -> np.ndarray:
-        from .geometry import sample_sphere_rows
-
         return sample_sphere_rows(self.d, n, gen)
 
     def to_dict(self) -> dict:
@@ -220,8 +227,6 @@ class SigmoidUnit:
 
     def init_rows(self, n: int, gen: np.random.Generator) -> np.ndarray:
         """a_i uniform on the unit sphere, b_i uniform on [-1, 1]."""
-        from .geometry import sample_sphere_rows
-
         A = sample_sphere_rows(self.d, n, gen) / np.sqrt(self.d)
         b = gen.uniform(-1.0, 1.0, size=n)
         return np.hstack([A, b[:, None]])
@@ -274,9 +279,6 @@ class ParticleEnsemble:
     @property
     def n(self) -> int:
         return self.c.size
-
-    def copy(self) -> "ParticleEnsemble":
-        return ParticleEnsemble(unit=self.unit, c=self.c.copy(), z=self.z.copy())
 
     def to_dict(self) -> dict:
         return {

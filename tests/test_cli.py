@@ -151,6 +151,20 @@ def test_spec_validation():
         {"quench_frac": "1.5"},
         {"threads": "0"},
         {"c_init": "cauchy"},
+        # refused by the objects a cell builds (TrainConfig, RbfUnit,
+        # noise_amplitude, InitSpec), not by a rule of the spec's own
+        {"dynamics": "langevin"},  # no beta
+        {"dynamics": "langevin", "beta": "nan"},
+        {"dynamics": "langevin", "beta": "-2"},
+        {"alpha": "nan"},
+        {"alpha": "-1"},
+        {"noise_beta": "0"},
+        {"noise_beta": "-1"},
+        {"noise_beta": "1e4", "noise_until_frac": "nan"},
+        {"dt": "inf"},
+        {"c_init": "uniform:-inf:inf"},
+        {"c_init": "uniform:0:1e400"},
+        {"c_init": "uniform:a:b"},
     ):
         with pytest.raises(ConfigError):
             spec_from_mapping(dict(m, **bad))
@@ -290,6 +304,20 @@ def test_unrepresentable_rbf_kernel_exits_1(tmp_path):
     code, _, err = run_cli(["scale", "--preset", "paper-rbf-d5", "--set", "alpha=200",
                             "--out", str(out)])
     assert code == 1 and stderr_json(err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["dynamics=langevin", "noise_beta=0", "c_init=uniform:a:b",
+                                 "dt=inf"])
+def test_config_a_cell_would_refuse_exits_1(tiny_cfg, tmp_path, bad):
+    # a value the cell's own objects refuse (langevin without beta, a
+    # non-positive noise beta, a weight law that does not parse, an
+    # infinite dt) is refused before anything is written
+    out = tmp_path / "refused"
+    code, stdout, err = run_cli(["train", "--config", tiny_cfg, "--set", bad, "--out", str(out)])
+    assert code == 1 and stdout == ""
+    assert len(err.strip().splitlines()) == 1
+    assert stderr_json(err)["error"] == "ConfigError"
     assert not out.exists()
 
 
@@ -460,6 +488,7 @@ def test_slice_thin_checkpoint_exits_1(train_dir, tmp_path, drop):
     ("unit", "ScheduleError"),
     ("c", "ScheduleError"),
     ("alpha", "ScheduleError"),
+    ("big-alpha", "ScheduleError"),  # alpha * d overflows the kernel
     ("z", "UnitMismatchError"),
 ])
 def test_slice_damaged_ensemble_exits_1(train_dir, tmp_path, damage, error):
@@ -475,6 +504,8 @@ def test_slice_damaged_ensemble_exits_1(train_dir, tmp_path, damage, error):
         ens["c"][0] = "abc"
     elif damage == "alpha":
         ens["unit"]["alpha"] = "abc"
+    elif damage == "big-alpha":
+        ens["unit"]["alpha"] = 1000.0
     else:
         ens["z"][0] = [2.0 * v for v in ens["z"][0]]
     ckpt = tmp_path / "ckpt_damaged.json"

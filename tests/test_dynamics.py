@@ -24,7 +24,7 @@ from spinnet.dynamics import (
     sgd_drift,
 )
 from spinnet.geometry import _sphere_rows_into, sample_sphere_rows
-from spinnet.rng import _StepStreams, stream
+from spinnet.rng import RngStream, _StepStreams, stream
 from spinnet.targets import (
     DimensionMismatchError,
     PlantedTarget,
@@ -160,6 +160,22 @@ def test_beta_infinity_matches_sgd_bitwise():
     assert np.array_equal(e.z + dZ * dt, b.z)
 
 
+def test_exact_noise_free_step_builds_no_generator(monkeypatch):
+    # the exact drift at beta = inf draws nothing, so the stream's generator
+    # is never built; an rng of another type is still refused
+    _, target, e = planted_one_atom()
+    want = langevin_step(e, target, None, 1e-3, math.inf, stream(39, "step").generator())
+
+    def unused(self):
+        raise AssertionError("generator built for a step that draws nothing")
+
+    monkeypatch.setattr(RngStream, "generator", unused)
+    got = langevin_step(e, target, None, 1e-3, math.inf, stream(39, "step"))
+    assert np.array_equal(got.c, want.c) and np.array_equal(got.z, want.z)
+    with pytest.raises(TypeError):
+        langevin_step(e, target, None, 1e-3, math.inf, 12345)
+
+
 def test_gaussian_prior_gradients():
     # grad log rho0 of the Gaussian prior, read off a zero drift at unit scale:
     # -c on the weights, -(a, b) on unconstrained units, none on the sphere
@@ -227,6 +243,8 @@ def test_config_rejects_bad_fields():
     with pytest.raises(ScheduleError):
         TrainConfig(**{**ok, "dt": 0.0})
     with pytest.raises(ScheduleError):
+        TrainConfig(**{**ok, "dt": math.inf})
+    with pytest.raises(ScheduleError):
         TrainConfig(**{**ok, "steps": -1})
     with pytest.raises(ScheduleError):
         TrainConfig(**{**ok, "dynamics": "adam"})
@@ -255,6 +273,10 @@ def test_init_spec_round_trip():
         init_from_string("cauchy")
     with pytest.raises(ValueError):
         init_from_string("uniform:3:1")
+    for text in ("uniform:-inf:inf", "uniform:0:1e400"):
+        # hi - lo overflows, so the uniform draw would not be finite
+        with pytest.raises(ValueError):
+            init_from_string(text)
     with pytest.raises(ValueError):
         # jordan initialization carries a planted target object, so it has
         # no flat-config spelling
@@ -454,22 +476,24 @@ def test_step_failure_carries_the_step_index():
 
 @pytest.mark.parametrize("batch", [None, 8])
 def test_tensor_of_another_d_is_refused_before_the_first_step(batch):
-    # a d=4 tensor against d=5 units, exact flow (gd, exact-drift langevin)
-    # and batch dynamics alike
+    # a d=4 tensor and a d=4 planted target against d=5 units, exact flow
+    # (gd, exact-drift langevin) and batch dynamics alike
     unit = RbfUnit(alpha=1.0, d=5)
-    t = SpinTensor.sample(4, 53)
+    _, planted, _ = planted_one_atom(d=4, seed=53)
     e0 = InitSpec(c_law="normal").sample(unit, 6, stream(53, "init"))
     sched = {} if batch is None else {"batch_schedule": ((0, batch),)}
     kinds = ["langevin", "gd" if batch is None else "sgd"]
-    for kind, steps in ((k, s) for k in kinds for s in (0, 3)):
-        beta = {"beta": 1e3} if kind == "langevin" else {}
-        cfg = TrainConfig(dt=1e-3, steps=steps, dynamics=kind, init=InitSpec(c_law="normal"),
-                          master_seed=53, **sched, **beta)
-        with pytest.raises(DimensionMismatchError, match="points have d = 5, tensor d = 4"):
-            run_schedule(cfg, e0, t, DiagnosticPlan())
-    for beta in (1e3, math.inf):
-        with pytest.raises(DimensionMismatchError, match="points have d = 5, tensor d = 4"):
-            langevin_step(e0, t, batch, 1e-3, beta, stream(53, "step"))
+    for t, name in ((SpinTensor.sample(4, 53), "tensor"), (planted, "planted")):
+        msg = f"points have d = 5, {name} d = 4"
+        for kind, steps in ((k, s) for k in kinds for s in (0, 3)):
+            beta = {"beta": 1e3} if kind == "langevin" else {}
+            cfg = TrainConfig(dt=1e-3, steps=steps, dynamics=kind, init=InitSpec(c_law="normal"),
+                              master_seed=53, **sched, **beta)
+            with pytest.raises(DimensionMismatchError, match=msg):
+                run_schedule(cfg, e0, t, DiagnosticPlan())
+        for beta in (1e3, math.inf):
+            with pytest.raises(DimensionMismatchError, match=msg):
+                langevin_step(e0, t, batch, 1e-3, beta, stream(53, "step"))
 
 
 @pytest.mark.parametrize(

@@ -60,6 +60,11 @@ def test_rbf_from_gaussian_absorbs_the_constant():
 def test_rbf_rejects_negative_alpha():
     with pytest.raises(ValueError):
         RbfUnit(alpha=-1.0, d=3)
+    with pytest.raises(ValueError):
+        RbfUnit(alpha=float("nan"), d=3)
+    # alpha * d = 1000 > ln(DBL_MAX): the kernel peak exp(alpha d) overflows
+    with pytest.raises(ValueError, match="overflows the rbf kernel"):
+        RbfUnit(alpha=200.0, d=5)
 
 
 def test_sigmoid_midpoint():
