@@ -56,7 +56,7 @@ from .geometry import (
     _tangent_project_into,
     tangent_project_rows,
 )
-from .rng import RngStream, _StepStreams, generator_for
+from .rng import _StepStreams, generator_for
 from .targets import (
     _SPIN3_CHUNK,
     DimensionMismatchError,
@@ -494,11 +494,8 @@ def langevin_step(
         raise ScheduleError(f"dt must be >= 0, got {dt}")
     if not (beta > 0):
         raise ScheduleError(f"beta must be positive, got {beta}")
+    gen = generator_for(rng)
     exact = batch_size is None
-    if exact and math.isinf(beta) and isinstance(rng, RngStream):
-        gen = None  # the step draws nothing, so no generator is built
-    else:
-        gen = generator_for(rng)
     if exact and not isinstance(e.unit, RbfUnit):
         raise ScheduleError("exact-drift langevin requires an RBF ensemble")
     _check_target_d(target, e.unit)

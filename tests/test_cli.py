@@ -152,7 +152,11 @@ def test_spec_validation():
         {"threads": "0"},
         {"c_init": "cauchy"},
         # refused by the objects a cell builds (TrainConfig, RbfUnit,
-        # noise_amplitude, InitSpec), not by a rule of the spec's own
+        # noise_amplitude, InitSpec, DiagnosticPlan), not by a rule of the
+        # spec's own
+        {"dynamics": "warp"},
+        {"steps": "-1"},
+        {"probe_every": "0"},
         {"dynamics": "langevin"},  # no beta
         {"dynamics": "langevin", "beta": "nan"},
         {"dynamics": "langevin", "beta": "-2"},

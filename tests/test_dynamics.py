@@ -24,7 +24,7 @@ from spinnet.dynamics import (
     sgd_drift,
 )
 from spinnet.geometry import _sphere_rows_into, sample_sphere_rows
-from spinnet.rng import RngStream, _StepStreams, stream
+from spinnet.rng import _StepStreams, stream
 from spinnet.targets import (
     DimensionMismatchError,
     PlantedTarget,
@@ -158,22 +158,6 @@ def test_beta_infinity_matches_sgd_bitwise():
     b = langevin_step(e, t, 16, dt, math.inf, stream(38, "step").generator())
     assert np.array_equal(e.c + dc * dt, b.c)
     assert np.array_equal(e.z + dZ * dt, b.z)
-
-
-def test_exact_noise_free_step_builds_no_generator(monkeypatch):
-    # the exact drift at beta = inf draws nothing, so the stream's generator
-    # is never built; an rng of another type is still refused
-    _, target, e = planted_one_atom()
-    want = langevin_step(e, target, None, 1e-3, math.inf, stream(39, "step").generator())
-
-    def unused(self):
-        raise AssertionError("generator built for a step that draws nothing")
-
-    monkeypatch.setattr(RngStream, "generator", unused)
-    got = langevin_step(e, target, None, 1e-3, math.inf, stream(39, "step"))
-    assert np.array_equal(got.c, want.c) and np.array_equal(got.z, want.z)
-    with pytest.raises(TypeError):
-        langevin_step(e, target, None, 1e-3, math.inf, 12345)
 
 
 def test_gaussian_prior_gradients():
