@@ -19,10 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import InvalidDimensionError, _sq_norms_into, sample_sphere_rows
-from .rng import stream
-from .targets import evaluate_target
-from .units import ParticleEnsemble, RbfUnit, network_eval_rows
+from .geometry import (
+    InvalidDimensionError,
+    _scale_to_sphere,
+    _short_rows,
+    _sq_norms_into,
+    sample_sphere_rows,
+)
+from .rng import generator_for, stream
+from .targets import _SPIN3_CHUNK, SpinTensor, _check_target_d, _spin3_eval_into, evaluate_target
+from .units import ParticleEnsemble, RbfUnit, _eval_block_rows, network_eval_rows
 
 
 class EmptyBatchError(ValueError):
@@ -136,6 +142,56 @@ def empirical_loss(e: ParticleEnsemble, batch: Batch) -> float:
 def signed_error_summary(e: ParticleEnsemble, batch: Batch) -> tuple[float, float, float]:
     """(plus, minus, residual mean over f != 0) in one pass over the batch."""
     return residual_signed_split(batch_residual(e, batch), batch.target_values)
+
+
+def _sampled_loss(e: ParticleEnsemble, target, size: int, rng) -> float:
+    """empirical_loss(e, draw_batch(target, e.unit.d, size, rng)) bit for
+    bit; for a SpinTensor target, with only the (size,) residual and one
+    chunk's scratch in memory.
+
+    The batch is drawn, scaled and checked in chunks of _SPIN3_CHUNK rows,
+    the 3-spin blocks of the whole batch.  The network sees runs of rows
+    that are whole _eval_block_rows(n) blocks, the rest carried into the
+    next chunk, so both partitions, and with them the bits, are those of
+    the whole batch.  The sampler redraws short rows only once the whole
+    batch is drawn, so a chunk with a row below the norm floor replays the
+    batch unstreamed from the generator state before the first draw.  A
+    planted target is one product over the whole batch, whose rows move in
+    their last bits when it is cut, so it is not streamed.
+    """
+    gen = generator_for(rng)
+    d = e.unit.d
+    if size < 1 or not isinstance(target, SpinTensor):
+        return empirical_loss(e, draw_batch(target, d, size, gen))
+    _check_target_d(target, e.unit)
+    start = gen.bit_generator.state
+    chunk = min(size, _SPIN3_CHUNK)
+    block = _eval_block_rows(e.n)
+    X = np.empty((min(size, chunk + block - 1), d))  # rows not yet through the network
+    nrm, tmp = np.empty(chunk), np.empty((chunk, d))
+    m1, m2 = np.empty((chunk, d * d)), np.empty((chunk, 1, d))
+    r = np.empty(size)
+    held = done = 0
+    for lo in range(0, size, chunk):
+        k = min(chunk, size - lo)
+        Xc = X[held : held + k]
+        gen.standard_normal(out=Xc)
+        nk = np.sqrt(_sq_norms_into(Xc, nrm[:k], tmp[:k]), out=nrm[:k])
+        if _short_rows(nk).any():
+            gen.bit_generator.state = start
+            return empirical_loss(e, draw_batch(target, d, size, gen))
+        _scale_to_sphere(Xc, nk)
+        _check_on_sphere(Xc, nk, tmp[:k])
+        _spin3_eval_into(target, Xc, r[lo : lo + k], m1, m2)
+        held += k
+        ready = held if lo + k == size else held - held % block
+        if ready:
+            r[done : done + ready] -= network_eval_rows(e, X[:ready])
+            done += ready
+            held -= ready
+            X[:held] = X[ready : ready + held]
+    r *= r
+    return float(0.5 * np.mean(r))
 
 
 # entries per row block of the n x n pair kernel; the SGD drift walks its

@@ -59,9 +59,8 @@ from .geometry import (
 from .rng import _StepStreams, generator_for
 from .targets import (
     _SPIN3_CHUNK,
-    DimensionMismatchError,
-    PlantedTarget,
     SpinTensor,
+    _check_target_d,
     _spin3_eval_into,
     _spin3_grad_into,
     evaluate_target,
@@ -143,6 +142,8 @@ def init_from_string(text: str) -> InitSpec:
         return InitSpec(c_law=text)
     if text.startswith("uniform:"):
         try:
+            if "_" in text:  # float() reads "1_0" as 10
+                raise ValueError
             lo, hi = (float(p) for p in text.split(":")[1:])
         except ValueError:
             raise ScheduleError(f"bad uniform c_law: {text!r}") from None
@@ -459,15 +460,6 @@ def _add_prior(inv: float, dc, dZ, c, Z, unit):
     return dc, dZ
 
 
-def _check_target_d(target, unit) -> None:
-    """Raise DimensionMismatchError unless a SpinTensor or PlantedTarget
-    target lives in the unit's input dimension."""
-    if isinstance(target, SpinTensor) and target.d != unit.d:
-        raise DimensionMismatchError(f"points have d = {unit.d}, tensor d = {target.d}")
-    if isinstance(target, PlantedTarget) and target.unit.d != unit.d:
-        raise DimensionMismatchError(f"points have d = {unit.d}, planted d = {target.unit.d}")
-
-
 def sgd_drift(e: ParticleEnsemble, batch: Batch):
     """(dc, dZ) ambient drift for a given batch (no step applied)."""
     ws = _Workspace(e.unit, e.c, e.z, batch=batch.P)
@@ -490,8 +482,8 @@ def langevin_step(
     beta = inf skips regularizer and noise entirely, reproducing the
     noiseless step bit-for-bit.
     """
-    if dt < 0:
-        raise ScheduleError(f"dt must be >= 0, got {dt}")
+    if not (0 <= dt < math.inf):
+        raise ScheduleError(f"dt must be >= 0 and finite, got {dt}")
     if not (beta > 0):
         raise ScheduleError(f"beta must be positive, got {beta}")
     gen = generator_for(rng)

@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
@@ -26,8 +25,8 @@ from .diagnostics import (
     Batch,
     ReportError,
     _atomic_write,
+    _sampled_loss,
     draw_batch,
-    empirical_loss,
     fit_scaling_slope,
     init_fluctuation_variance,
     read_report,
@@ -169,6 +168,9 @@ _FIELDS = {f.name: f for f in fields(ExperimentSpec)}
 
 def _parse_value(f, raw: str):
     raw = raw.strip()
+    if f.type != "str" and "_" in raw:
+        # int() and float() read "1_0" as 10
+        raise ConfigError(f"bad value for {f.name}: {raw!r} (no underscores in numbers)")
     try:
         return _PARSERS[f.type](raw)
     except ValueError as err:
@@ -282,6 +284,8 @@ def _train_config(spec: ExperimentSpec, n: int, run_seed: int) -> TrainConfig:
                 entries.append((qstep, spec.quench_batch_size(n)))
         batch_schedule = tuple(entries)
     if spec.dynamics == "gd" and spec.noise_beta is not None:
+        if not math.isfinite(spec.noise_until_frac):
+            raise ConfigError(f"noise_until_frac must be finite, got {spec.noise_until_frac}")
         half = int(spec.noise_until_frac * spec.steps)
         entries = [(0, noise_amplitude(spec.noise_beta, n))]
         if 0 < half < spec.steps:
@@ -324,11 +328,9 @@ def run_cell(spec: ExperimentSpec, n: int, r: int, s: int) -> None:
     plan = DiagnosticPlan(probe_every=spec.probe_every, eval_batch=eval_batch)
     final, report = run_schedule(cfg, e0, tensor, plan)
 
-    big_pts = sample_sphere_rows(
-        spec.d, spec.final_eval_batch_size, stream(spec.master_seed, "final-eval-batch")
+    final_loss_big = _sampled_loss(
+        final, tensor, spec.final_eval_batch_size, stream(spec.master_seed, "final-eval-batch")
     )
-    big_batch = Batch(points=big_pts, target_values=evaluate_target(tensor, big_pts))
-    final_loss_big = empirical_loss(final, big_batch)
 
     report.meta.update(
         {
@@ -376,6 +378,10 @@ def _run_grid(spec: ExperimentSpec) -> dict:
             except Exception as err:  # noqa: BLE001 - cell isolation
                 failures.append({"cell": [n, r, s], "error": f"{type(err).__name__}: {err}"})
     else:
+        # imported here for cost: it pulls in multiprocessing, which a
+        # one-process run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=spec.threads) as pool:
             futs = {pool.submit(run_cell, spec, n, r, s): (n, r, s) for n, r, s in cells}
             for fut, cell in futs.items():

@@ -203,6 +203,15 @@ def evaluate_target(target, X: np.ndarray) -> np.ndarray:
     raise TypeError(f"cannot evaluate target of type {type(target).__name__}")
 
 
+def _check_target_d(target, unit) -> None:
+    """Raise DimensionMismatchError unless a SpinTensor or PlantedTarget
+    target lives in the unit's input dimension."""
+    if isinstance(target, SpinTensor) and target.d != unit.d:
+        raise DimensionMismatchError(f"points have d = {unit.d}, tensor d = {target.d}")
+    if isinstance(target, PlantedTarget) and target.unit.d != unit.d:
+        raise DimensionMismatchError(f"points have d = {unit.d}, planted d = {target.unit.d}")
+
+
 def target_grad_rows(target, Z: np.ndarray) -> np.ndarray:
     """Ambient input-space gradient rows of a SpinTensor or a PlantedTarget;
     any other object raises TypeError."""

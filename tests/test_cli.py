@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from spinnet.cli import main
-from spinnet.diagnostics import REPORT_COLUMNS, ExperimentReport, read_report
+from spinnet.diagnostics import (
+    REPORT_COLUMNS,
+    ExperimentReport,
+    draw_batch,
+    empirical_loss,
+    read_report,
+)
+from spinnet.dynamics import load_checkpoint
 from spinnet.experiments import (
     ConfigError,
     build_spec,
@@ -20,6 +27,8 @@ from spinnet.experiments import (
     spec_from_mapping,
     spec_to_config_text,
 )
+from spinnet.rng import stream
+from spinnet.targets import SpinTensor
 
 TINY = """\
 experiment = train
@@ -169,8 +178,19 @@ def test_spec_validation():
         {"c_init": "uniform:-inf:inf"},
         {"c_init": "uniform:0:1e400"},
         {"c_init": "uniform:a:b"},
+        {"c_init": "uniform:0:1_0"},
     ):
         with pytest.raises(ConfigError):
+            spec_from_mapping(dict(m, **bad))
+    # int() and float() read digit-group underscores ("1_0" is 10); a NaN
+    # cutoff used to surface as int()'s message, which names no key
+    for key, bad in (
+        ("d", {"d": "1_0"}),
+        ("dt", {"dt": "1_0e-3"}),
+        ("n_list", {"n_list": "1_6"}),
+        ("noise_until_frac", {"noise_beta": "1e4", "noise_until_frac": "nan"}),
+    ):
+        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
             spec_from_mapping(dict(m, **bad))
     with pytest.raises(ConfigError):
         spec_from_mapping({k: v for k, v in m.items() if k != "d"})
@@ -191,6 +211,21 @@ def test_train_writes_grid_artifacts(tiny_cfg, train_dir):
     assert all(v["mean_loss"] > 0 for v in summary["per_n"].values())
     with open(os.path.join(out, "summary.json")) as fh:
         assert json.load(fh) == summary
+
+
+def test_final_loss_is_the_loss_of_the_final_eval_batch(tiny_cfg, tmp_path):
+    # 10^4 points cross 4096-row chunks, and n = 100 gives network blocks
+    # of 327 rows, which do not divide a chunk
+    out = tmp_path / "final"
+    code, _, _ = run_cli(["train", "--config", tiny_cfg, "--set", "d=5", "--set", "n_list=100",
+                          "--set", "steps=4", "--set", "final_eval_batch_size=10000",
+                          "--out", str(out)])
+    assert code == 0
+    final, _, meta = load_checkpoint(out / "ckpt_n100_r0_s0.json")
+    tensor = SpinTensor.from_dict(meta["tensor"])
+    batch = draw_batch(tensor, 5, 10000, stream(meta["master_seed"], "final-eval-batch"))
+    rep = read_report(out / "run_n100_r0_s0.csv")
+    assert rep.summaries["final_loss_big"] == empirical_loss(final, batch)
 
 
 def test_artifacts_embed_identity(tiny_cfg, train_dir):

@@ -1,5 +1,6 @@
 """Losses, signed errors, kernel grams, fluctuation checks, fits, reports."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,11 +30,12 @@ from spinnet.dynamics import InitSpec, save_checkpoint
 from spinnet.experiments import write_summary
 from spinnet.geometry import InvalidDimensionError, sample_sphere_rows
 from spinnet.rng import stream
-from spinnet.targets import PlantedTarget, SpinTensor, evaluate_target
+from spinnet.targets import DimensionMismatchError, PlantedTarget, SpinTensor, evaluate_target
 from spinnet.units import (
     ParticleEnsemble,
     RbfUnit,
     SigmoidUnit,
+    _eval_block_rows,
     network_eval_rows,
 )
 
@@ -154,6 +156,91 @@ def test_target_constant_is_half_second_moment():
     assert residual_loss(b.target_values) == 3.0
     e = rbf_ensemble(2, 3, 1.0, 2, c=np.zeros(3))
     assert empirical_loss(e, b) == 3.0
+
+
+# -- streamed loss of a fresh batch --------------------------------------
+
+def _unit(kind, d):
+    return RbfUnit(alpha=5.0 / d, d=d) if kind == "rbf" else SigmoidUnit(d=d)
+
+
+def _target(kind, e):
+    if kind == "spin":
+        return SpinTensor.sample(e.unit.d, 7)
+    # the network itself as a mixture: the residual is rounding error, so a
+    # target or network value that moves in its last bit moves the loss
+    # (cut into chunks, the mixture's values do move)
+    return PlantedTarget(unit=e.unit, weights=e.c / e.n, locations=e.z)
+
+
+@pytest.mark.parametrize("target_kind", ["spin", "planted"])
+@pytest.mark.parametrize("d", [3, 5, 10, 25])
+@pytest.mark.parametrize("unit_kind", ["rbf", "sigmoid"])
+def test_sampled_loss_equals_the_drawn_batch_loss_bitwise(unit_kind, d, target_kind):
+    # the sizes straddle the 4096-row chunk; the n give network blocks of
+    # 32768 // n rows that do and do not divide a chunk
+    for n in (1, 3, 12, 64, 100, 256):
+        e = InitSpec(c_law="normal").sample(_unit(unit_kind, d), n, stream(1, "init", n))
+        t = _target(target_kind, e)
+        for size in (1, 4095, 4097, 10000):
+            want = empirical_loss(e, draw_batch(t, d, size, stream(3, "big")))
+            assert diag._sampled_loss(e, t, size, stream(3, "big")) == want, (n, size)
+
+
+@pytest.mark.parametrize("n, size", [(1, 40000), (12, 10000), (100, 10000), (256, 4097)])
+def test_sampled_loss_cuts_the_batch_where_the_whole_batch_is_cut(monkeypatch, n, size):
+    # a row's value moves in its last bits when the network or the 3-spin
+    # form meets it in a block of another row count, which a mean can hide;
+    # calls of whole network blocks and of full chunks keep both partitions
+    net, spin = diag.network_eval_rows, diag._spin3_eval_into
+    net_rows, spin_rows = [], []
+    monkeypatch.setattr(diag, "network_eval_rows",
+                        lambda e, X: net_rows.append(len(X)) or net(e, X))
+    monkeypatch.setattr(diag, "_spin3_eval_into",
+                        lambda t, X, *a: spin_rows.append(len(X)) or spin(t, X, *a))
+    e = InitSpec(c_law="normal").sample(SigmoidUnit(d=5), n, stream(1, "init", n))
+    diag._sampled_loss(e, SpinTensor.sample(5, 7), size, stream(3, "big"))
+    block = _eval_block_rows(n)
+    assert sum(net_rows) == size and all(m % block == 0 for m in net_rows[:-1])
+    assert sum(spin_rows) == size and set(spin_rows[:-1]) <= {4096}
+
+
+def test_sampled_loss_replays_a_batch_with_short_rows(monkeypatch):
+    # a floor of 2.0 makes short Gaussian rows common at d = 3, so the
+    # streamed draw gives up and replays the whole batch, which redraws them
+    monkeypatch.setattr("spinnet.geometry._NORM_FLOOR", 2.0)
+    replays = []
+    monkeypatch.setattr(diag, "draw_batch", lambda *a: replays.append(a) or draw_batch(*a))
+    t = SpinTensor.sample(3, 7)
+    e = InitSpec(c_law="normal").sample(SigmoidUnit(d=3), 12, stream(1, "init"))
+    gen, ref = stream(3, "big").generator(), stream(3, "big").generator()
+    want = empirical_loss(e, draw_batch(t, 3, 5000, ref))
+    assert diag._sampled_loss(e, t, 5000, gen) == want
+    assert len(replays) == 1
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
+def test_sampled_loss_validation():
+    e = InitSpec(c_law="normal").sample(SigmoidUnit(d=3), 4, stream(1, "init"))
+    with pytest.raises(EmptyBatchError):
+        diag._sampled_loss(e, SpinTensor.sample(3, 7), 0, stream(3, "big"))
+    with pytest.raises(DimensionMismatchError, match="tensor d = 4"):
+        diag._sampled_loss(e, SpinTensor.sample(4, 7), 10, stream(3, "big"))
+
+
+def test_sampled_loss_keeps_no_batch_sized_array():
+    # one (size, d) copy of the batch is 15.3 MB; the streamed call holds
+    # the 1.6 MB residual and one chunk's scratch
+    size, d = 200_000, 10
+    e = InitSpec(c_law="normal").sample(SigmoidUnit(d=d), 64, stream(1, "init"))
+    t = SpinTensor.sample(d, 7)
+    tracemalloc.start()
+    try:
+        diag._sampled_loss(e, t, size, stream(3, "big"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size * d * 8
 
 
 # -- exact rbf loss ------------------------------------------------------

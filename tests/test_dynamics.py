@@ -96,6 +96,19 @@ def test_dt_zero_is_bitwise_noop():
         assert np.array_equal(e2.z, e.z)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -1e-3])
+def test_langevin_step_refuses_a_dt_that_is_not_finite_and_nonnegative(dt):
+    # refused as TrainConfig refuses it, not left to end in a StepFailure
+    d = 3
+    unit = RbfUnit(alpha=1.0, d=d)
+    gen = stream(36, "ens").generator()
+    e = ParticleEnsemble(unit=unit, c=gen.standard_normal(4), z=sample_sphere_rows(d, 4, gen))
+    t = SpinTensor.sample(d, 9)
+    for batch, beta in ((None, math.inf), (8, math.inf), (8, 100.0)):
+        with pytest.raises(ScheduleError, match="dt must be"):
+            langevin_step(e, t, batch, dt, beta, stream(36, "step"))
+
+
 def test_sgd_keeps_rbf_on_sphere():
     d = 5
     unit = RbfUnit(alpha=1.0, d=d)

@@ -14,7 +14,10 @@ fresh interpreter with that tree first on PYTHONPATH and one BLAS thread:
 * the sigmoid preset as batch Langevin (``--set dynamics=langevin --set
   beta=1000``), the one job that draws batch and noise streams together;
 * the rbf preset as SGD from normal weights (``sgd-rbf-d5``), the one job
-  whose probes evaluate the pair loss of a batch state.
+  whose probes evaluate the pair loss of a batch state;
+* the rbf preset at d=25 with n=16 and n=100 (``rbf-d25``), the one job
+  whose 3-spin and network row blocks move bits when they are cut
+  differently.
 
 Every file a job writes (run CSVs, checkpoints, ``summary.json``,
 ``failures.json``) must exist on both sides with the same bytes, and the
@@ -43,6 +46,9 @@ PRESETS = (
     ("sgd-rbf-d5", ("train", "--preset", "paper-rbf-d5", "--scale", "0.01",
                     "--set", "dynamics=sgd", "--set", "c_init=normal",
                     "--set", "n_list=16,64", "--set", "realizations=1")),
+    ("rbf-d25", ("train", "--preset", "paper-rbf-d5", "--scale", "0.0001",
+                 "--set", "d=25", "--set", "n_list=16,100", "--set", "realizations=1",
+                 "--set", "c_init=normal", "--set", "dt=1e-6")),
 )
 SKIPPED = {"config.cfg"}
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
