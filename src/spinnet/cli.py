@@ -9,6 +9,7 @@ JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import json
 import os
@@ -69,62 +70,26 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, help="worker processes over grid cells")
 
 
-def _spec_from_args(args, forced: dict | None = None):
+def _cmd_spec(args) -> int:
+    """Build the spec, with the experiment kind the subcommand forces, run
+    it and print its summary.  scale keeps a configured *-scaling kind and
+    otherwise takes the unit's; replace re-runs the spec's checks."""
     overrides = _parse_overrides(args.overrides)
-    if args.seed is not None:
-        overrides["master_seed"] = str(args.seed)
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.threads is not None:
-        overrides["threads"] = str(args.threads)
-    if forced:
-        overrides.update({k: str(v) for k, v in forced.items()})
-    return build_spec(
+    for key, value in (("master_seed", args.seed), ("out_dir", args.out),
+                       ("threads", args.threads), ("experiment", args.kind)):
+        if value is not None:
+            overrides[key] = str(value)
+    spec = build_spec(
         preset=args.preset,
         config_path=args.config,
         overrides=overrides,
         scale=args.scale,
     )
-
-
-def _run_spec_command(args, forced: dict | None = None) -> int:
-    spec = _spec_from_args(args, forced)
+    if args.command == "scale" and not spec.experiment.endswith("-scaling"):
+        spec = dataclasses.replace(spec, experiment=f"{spec.unit}-scaling")
     summary = run_experiment(spec)
     sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0
-
-
-def _cmd_train(args) -> int:
-    return _run_spec_command(args)
-
-
-def _cmd_scale(args) -> int:
-    spec = _spec_from_args(args)
-    if spec.experiment not in ("rbf-scaling", "sigmoid-scaling"):
-        forced = {"experiment": "rbf-scaling" if spec.unit == "rbf" else "sigmoid-scaling"}
-        spec = _spec_from_args(args, forced)
-    if len(set(spec.n_list)) < 3:
-        raise ConfigError("a scaling study needs at least 3 n values for the slope fit")
-    summary = run_experiment(spec)
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return 0
-
-
-def _cmd_quench(args) -> int:
-    spec = _spec_from_args(args, {"experiment": "quench"})
-    if spec.quench_frac is None:
-        raise ConfigError("quench needs quench_frac set")
-    summary = run_experiment(spec)
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return 0
-
-
-def _cmd_clt_check(args) -> int:
-    return _run_spec_command(args, {"experiment": "clt-check"})
-
-
-def _cmd_gradcheck(args) -> int:
-    return _run_spec_command(args, {"experiment": "gradcheck"})
 
 
 def _slice_to_csv(fh, header: dict, cols: dict) -> None:
@@ -187,16 +152,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, doc in (
-        ("train", _cmd_train, "run the configured experiment grid"),
-        ("scale", _cmd_scale, "error-scaling study over an n list (needs >= 3 n values)"),
-        ("quench", _cmd_quench, "SGD run with a batch-size quench"),
-        ("clt-check", _cmd_clt_check, "initialization fluctuation variance check"),
-        ("gradcheck", _cmd_gradcheck, "finite-difference validation of all gradients"),
+    # subcommand, the experiment kind it forces, help; scale's kind is
+    # chosen by _cmd_spec once the unit is known
+    for name, kind, doc in (
+        ("train", None, "run the configured experiment grid"),
+        ("scale", None, "error-scaling study over an n list (needs >= 3 n values)"),
+        ("quench", "quench", "SGD run with a batch-size quench"),
+        ("clt-check", "clt-check", "initialization fluctuation variance check"),
+        ("gradcheck", "gradcheck", "finite-difference validation of all gradients"),
     ):
         p = sub.add_parser(name, help=doc)
         _add_spec_args(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_spec, kind=kind)
 
     p = sub.add_parser("slice", help="evaluate target and network on a sphere slice")
     p.add_argument("checkpoint", help="checkpoint JSON written by a training run")

@@ -455,7 +455,7 @@ def read_report(path) -> ExperimentReport:
         return _parse_report(path)
     except ReportError:
         raise
-    except ValueError as err:  # bad JSON, a non-number cell
+    except (ValueError, OverflowError) as err:  # bad JSON, a non-number or oversized cell
         raise ReportError(f"{path}: malformed report ({err})") from None
 
 

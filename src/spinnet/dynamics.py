@@ -712,6 +712,8 @@ def load_checkpoint(path) -> tuple[ParticleEnsemble, int, dict]:
         val = blob.get(key)
         if not isinstance(val, kind) or isinstance(val, bool):
             raise ScheduleError(f"{path}: checkpoint {key!r} is missing or not a {kind.__name__}")
+    if blob["step"] < 0:
+        raise ScheduleError(f"{path}: checkpoint 'step' must be >= 0, got {blob['step']}")
     try:
         ensemble = ParticleEnsemble.from_dict(blob["ensemble"])
     except UnitMismatchError:

@@ -22,7 +22,6 @@ from importlib import resources
 import numpy as np
 
 from .diagnostics import (
-    Batch,
     ReportError,
     _atomic_write,
     _sampled_loss,
@@ -111,6 +110,12 @@ class ExperimentSpec:
             raise ConfigError("realizations and seeds must be >= 1")
         if self.quench_frac is not None and not (0.0 < self.quench_frac < 1.0):
             raise ConfigError(f"quench_frac must be in (0,1), got {self.quench_frac}")
+        if self.experiment == "quench" and self.quench_frac is None:
+            raise ConfigError("quench needs quench_frac set")
+        if self.experiment.endswith("-scaling") and len(self.n_list) < 3:
+            raise ConfigError("a scaling study needs at least 3 n values for the slope fit")
+        if self.experiment == "clt-check" and self.seeds < 2:
+            raise ConfigError("clt-check needs seeds >= 2 to estimate a variance")
         if not (self.batch_divisor > 0):
             raise ConfigError("batch_divisor must be positive")
         if self.eval_batch_size < 1 or self.final_eval_batch_size < 1:
@@ -134,7 +139,7 @@ class ExperimentSpec:
         return max(1, int(n // self.batch_divisor))
 
     def quench_batch_size(self, n: int) -> int:
-        return max(1, int(n // self.batch_divisor)) ** 2
+        return self.batch_size(n) ** 2
 
     def cells(self):
         for n in self.n_list:
@@ -319,8 +324,9 @@ def run_cell(spec: ExperimentSpec, n: int, r: int, s: int) -> None:
     tensor = SpinTensor.sample(spec.d, subseed(spec.master_seed, "tensor", r))
     run_seed = subseed(spec.master_seed, f"cell-{n}-{r}", s)
 
-    eval_pts = sample_sphere_rows(spec.d, spec.eval_batch_size, stream(spec.master_seed, "eval-batch"))
-    eval_batch = Batch(points=eval_pts, target_values=evaluate_target(tensor, eval_pts))
+    eval_batch = draw_batch(
+        tensor, spec.d, spec.eval_batch_size, stream(spec.master_seed, "eval-batch")
+    )
 
     cfg = _train_config(spec, n, run_seed)
     init = cfg.init
@@ -391,9 +397,7 @@ def _run_grid(spec: ExperimentSpec) -> dict:
                     failures.append({"cell": list(cell), "error": f"{type(err).__name__}: {err}"})
     if failures:
         failures.sort(key=lambda f: f["cell"])
-        with _atomic_write(os.path.join(spec.out_dir, "failures.json")) as fh:
-            json.dump({"failures": failures}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_summary(os.path.join(spec.out_dir, "failures.json"), {"failures": failures})
         raise RuntimeError(f"{len(failures)} cell(s) failed; see failures.json")
 
     csvs = [cell_paths(spec.out_dir, n, r, s)[0] for n, r, s in cells]
@@ -407,8 +411,6 @@ def run_clt_check(spec: ExperimentSpec, rtol: float = 0.15) -> dict:
     compares it with the single-unit Monte Carlo prediction Var[c phihat].
     Both vanish identically for the zero weight law.
     """
-    if spec.seeds < 2:
-        raise ConfigError("clt-check needs seeds >= 2 to estimate a variance")
     unit = spec.build_unit()
     init = init_from_string(spec.c_init)
     n = int(spec.n_list[0])

@@ -70,7 +70,13 @@ class SpinTensor:
     def from_dict(cls, blob: dict) -> "SpinTensor":
         if blob.get("kind") != "spin3":
             raise DimensionMismatchError(f"not a spin3 tensor blob: {blob!r}")
-        return cls.sample(int(blob["d"]), int(blob["seed"]))
+        for key in ("d", "seed"):
+            # int() would truncate 2.5 and read true as 1: another realization
+            if not isinstance(blob.get(key), int) or isinstance(blob[key], bool):
+                raise DimensionMismatchError(
+                    f"spin3 tensor {key!r} must be an int, got {blob.get(key)!r}"
+                )
+        return cls.sample(blob["d"], blob["seed"])
 
 
 # rows per block of the 3-spin evaluation

@@ -179,6 +179,11 @@ def test_spec_validation():
         {"c_init": "uniform:0:1e400"},
         {"c_init": "uniform:a:b"},
         {"c_init": "uniform:0:1_0"},
+        # what each experiment kind needs to mean anything
+        {"experiment": "quench"},  # no quench_frac
+        {"experiment": "rbf-scaling"},  # two n values cannot fit a slope
+        {"experiment": "sigmoid-scaling", "unit": "sigmoid", "dynamics": "sgd"},
+        {"experiment": "clt-check"},  # one seed has no variance
     ):
         with pytest.raises(ConfigError):
             spec_from_mapping(dict(m, **bad))
@@ -334,6 +339,28 @@ def test_scale_command_needs_three_sizes(tiny_cfg, tmp_path):
     assert stderr_json(err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--set", "experiment=quench"],
+    ["train", "--set", "experiment=rbf-scaling"],
+    ["clt-check"],
+    ["quench", "--set", "quench_frac="],
+    ["scale"],
+    # scale checks the configured kind before it swaps in its own
+    ["scale", "--set", "experiment=quench", "--set", "n_list=4,8,16"],
+], ids=["train-quench", "train-rbf-scaling", "clt-check", "quench", "scale", "scale-quench"])
+def test_experiment_kind_rules_exit_1(tiny_cfg, tmp_path, argv):
+    # a quench without quench_frac, a scaling study over fewer than 3 n
+    # values and a clt-check over one seed are refused by the spec, before
+    # anything is written, whichever subcommand runs them; TINY has n_list
+    # 4,8, one seed and no quench_frac
+    out = tmp_path / "kind"
+    code, stdout, err = run_cli([*argv, "--config", tiny_cfg, "--out", str(out)])
+    assert code == 1 and stdout == ""
+    assert len(err.strip().splitlines()) == 1
+    assert stderr_json(err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
 # -- checks ---------------------------------------------------------------
 
 def test_unrepresentable_rbf_kernel_exits_1(tmp_path):
@@ -478,8 +505,9 @@ def test_corrupt_input_files_exit_1(tmp_path):
     )
     code, _, err = run_cli(["merge", str(csv)])
     assert code == 1 and stderr_json(err)["error"] == "ReportError"
-    # meta or summaries that are not JSON objects, or hold the wrong types
-    # or a data row with more cells than columns
+    # meta or summaries that are not JSON objects, or hold the wrong types,
+    # a data row with more cells than columns, or an integer cell too large
+    # for int64
     meta = '{"config_hash": "x", "master_seed": 1}'
     zeros = ",".join(["0"] * 13)
     for meta_json, summaries_json, row in (
@@ -489,6 +517,7 @@ def test_corrupt_input_files_exit_1(tmp_path):
         ('{"config_hash": "x", "master_seed": 1, "n": "abc"}', "{}", zeros),
         ('{"config_hash": "x", "master_seed": 1, "n": 3.7}', "{}", zeros),
         (meta, "{}", zeros + ",99,zz"),
+        (meta, "{}", ",".join(["0", "0", "9" * 30] + ["0"] * 10)),  # P overflows int64
     ):
         csv.write_text(
             "# spinnet-report v1\n"
@@ -529,15 +558,32 @@ def test_slice_thin_checkpoint_exits_1(train_dir, tmp_path, drop):
     ("alpha", "ScheduleError"),
     ("big-alpha", "ScheduleError"),  # alpha * d overflows the kernel
     ("z", "UnitMismatchError"),
+    ("tensor-seed-object", "DimensionMismatchError"),
+    ("tensor-seed-float", "DimensionMismatchError"),  # int() would truncate it
+    ("tensor-seed-bool", "DimensionMismatchError"),  # int() would read it as 1
+    ("tensor-d-float", "DimensionMismatchError"),
+    ("negative-step", "ScheduleError"),
 ])
 def test_slice_damaged_ensemble_exits_1(train_dir, tmp_path, damage, error):
     # a checkpoint ensemble with a field of the wrong type, or with
-    # positions off the sphere, exits 1 with one JSON error line
+    # positions off the sphere, a tensor key that is not an int, or a
+    # negative step, exits 1 with one JSON error line
     out, _ = train_dir
     with open(os.path.join(out, "ckpt_n4_r0_s0.json")) as fh:
         blob = json.load(fh)
     ens = blob["ensemble"]
-    if damage == "unit":
+    tensor = blob["meta"]["tensor"]
+    if damage == "tensor-seed-object":
+        tensor["seed"] = {"seed": tensor["seed"]}
+    elif damage == "tensor-seed-float":
+        tensor["seed"] = 2.5
+    elif damage == "tensor-seed-bool":
+        tensor["seed"] = True
+    elif damage == "tensor-d-float":
+        tensor["d"] = 2.0
+    elif damage == "negative-step":
+        blob["step"] = -3
+    elif damage == "unit":
         ens["unit"] = 5
     elif damage == "c":
         ens["c"][0] = "abc"

@@ -19,6 +19,9 @@ fresh interpreter with that tree first on PYTHONPATH and one BLAS thread:
   whose 3-spin and network row blocks move bits when they are cut
   differently.
 
+The last two run two n values, fewer than a scaling study accepts, so they
+set ``experiment=train``.
+
 Every file a job writes (run CSVs, checkpoints, ``summary.json``,
 ``failures.json``) must exist on both sides with the same bytes, and the
 exit codes must agree.  ``config.cfg`` is skipped: it echoes ``--out``.
@@ -44,9 +47,11 @@ PRESETS = (
     ("langevin-sigmoid-d10", ("train", "--preset", "paper-sigmoid-d10", "--scale", "0.01",
                               "--set", "dynamics=langevin", "--set", "beta=1000")),
     ("sgd-rbf-d5", ("train", "--preset", "paper-rbf-d5", "--scale", "0.01",
+                    "--set", "experiment=train",
                     "--set", "dynamics=sgd", "--set", "c_init=normal",
                     "--set", "n_list=16,64", "--set", "realizations=1")),
     ("rbf-d25", ("train", "--preset", "paper-rbf-d5", "--scale", "0.0001",
+                 "--set", "experiment=train",
                  "--set", "d=25", "--set", "n_list=16,100", "--set", "realizations=1",
                  "--set", "c_init=normal", "--set", "dt=1e-6")),
 )
