@@ -27,7 +27,14 @@ from .geometry import (
     sample_sphere_rows,
 )
 from .rng import generator_for, stream
-from .targets import _SPIN3_CHUNK, SpinTensor, _check_target_d, _spin3_eval_into, evaluate_target
+from .targets import (
+    _SPIN3_CHUNK,
+    SpinTensor,
+    _check_target_d,
+    _spin3_eval_into,
+    _spin3_scratch,
+    evaluate_target,
+)
 from .units import ParticleEnsemble, RbfUnit, _eval_block_rows, network_eval_rows
 
 
@@ -150,7 +157,7 @@ def _sampled_loss(e: ParticleEnsemble, target, size: int, rng) -> float:
     chunk's scratch in memory.
 
     The batch is drawn, scaled and checked in chunks of _SPIN3_CHUNK rows,
-    the 3-spin blocks of the whole batch.  The network sees runs of rows
+    the 3-spin chunks of the whole batch.  The network sees runs of rows
     that are whole _eval_block_rows(n) blocks, the rest carried into the
     next chunk, so both partitions, and with them the bits, are those of
     the whole batch.  The sampler redraws short rows only once the whole
@@ -169,7 +176,7 @@ def _sampled_loss(e: ParticleEnsemble, target, size: int, rng) -> float:
     block = _eval_block_rows(e.n)
     X = np.empty((min(size, chunk + block - 1), d))  # rows not yet through the network
     nrm, tmp = np.empty(chunk), np.empty((chunk, d))
-    m1, m2 = np.empty((chunk, d * d)), np.empty((chunk, 1, d))
+    m1, m2 = _spin3_scratch(d, chunk)
     r = np.empty(size)
     held = done = 0
     for lo in range(0, size, chunk):

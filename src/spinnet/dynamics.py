@@ -54,15 +54,14 @@ from .geometry import (
     _short_rows,
     _sq_norms_into,
     _tangent_project_into,
-    tangent_project_rows,
 )
 from .rng import _StepStreams, generator_for
 from .targets import (
-    _SPIN3_CHUNK,
     SpinTensor,
     _check_target_d,
     _spin3_eval_into,
     _spin3_grad_into,
+    _spin3_scratch,
     evaluate_target,
     target_grad_rows,
 )
@@ -270,9 +269,9 @@ class _Workspace:
     flow_drift() writes the exact-flow drift of the current state into
     dc and dZ (RBF ensembles only; exact=True allocates its buffers).
     draw_window() fills a window of `window` rows (at least `batch`) with
-    the batches of consecutive steps, batch_at() returns one of them with
-    its target values, and batch_drift() writes the SGD drift of a batch of
-    up to `batch` points into dc and dZ, walking it in feature blocks of
+    the batches of consecutive steps and their target values, batch_at()
+    returns one of them, and batch_drift() writes the SGD drift of a batch
+    of up to `batch` points into dc and dZ, walking it in feature blocks of
     _PAIR_CHUNK_ENTRIES entries.
     """
 
@@ -290,8 +289,7 @@ class _Workspace:
         if exact or batch > 0:
             self.dc, self.dZ = np.empty(n), np.empty((n, p))
         if exact:
-            block = min(n, _SPIN3_CHUNK)
-            self.m1, self.m2 = np.empty((block, p * p)), np.empty((block, 1, p))
+            self.m1, self.m2 = _spin3_scratch(p, n)
             self.t1 = np.empty((n, p * p))
             self.fz, self.g, self.cn = (np.empty(n) for _ in range(3))
             self.gradf, self.cZ, self.gcz = (np.empty((n, p)) for _ in range(3))
@@ -302,10 +300,10 @@ class _Workspace:
             self.net = np.empty(rows)
             self.acc, self.gsum = np.empty((n, p)), np.empty((n, p))
         if window > 0:
-            d, block = unit.d, min(batch, _SPIN3_CHUNK)
+            d = unit.d
             self.X, self.xtmp = np.empty((window, d)), np.empty((window, d))
-            self.xn, self.y = np.empty(window), np.empty(batch)
-            self.xm1, self.xm2 = np.empty((block, d * d)), np.empty((block, 1, d))
+            self.xn, self.y = np.empty(window), np.empty(window)
+            self.xm1, self.xm2 = _spin3_scratch(d, window)
 
     def ensemble(self) -> ParticleEnsemble:
         return ParticleEnsemble(unit=self.unit, c=self.c, z=self.Z)
@@ -332,10 +330,12 @@ class _Workspace:
         np.subtract(dZ, self.tmp, out=dZ)
         return dc, dZ
 
-    def draw_window(self, P: int, count: int, gen_at) -> None:
+    def draw_window(self, target, P: int, count: int, gen_at) -> None:
         """Fill the first count * P window rows with count batches of P
         uniform points on S^{d-1}(sqrt(d)), batch i drawn from gen_at(i) as
-        _sphere_rows_into draws it, then check them on the sphere.
+        _sphere_rows_into draws it, check them on the sphere, then evaluate
+        the target at all of them, each batch's values those of a one-shot
+        evaluation of its P rows.
 
         gen_at(i) returns the generator at the start of batch i's stream.
         For a batch with a row below the norm floor it is called again, the
@@ -356,17 +356,17 @@ class _Workspace:
                 _redraw_short_rows(d, gen, X[rows_i], nrm[rows_i], tmp[rows_i])
         _scale_to_sphere(X, nrm)
         _check_on_sphere(X, nrm, tmp)
-
-    def batch_at(self, target, i: int, P: int):
-        """(X, y): batch i of the last draw_window(P, ...) and its target
-        values, y in the workspace."""
-        X = self.X[i * P : (i + 1) * P]
-        y = self.y[:P]
+        y = self.y[:rows]
         if isinstance(target, SpinTensor):
-            _spin3_eval_into(target, X, y, self.xm1, self.xm2)
+            _spin3_eval_into(target, X, y, self.xm1, self.xm2, part=P)
         else:
-            y[:] = evaluate_target(target, X)
-        return X, y
+            for lo in range(0, rows, P):
+                y[lo : lo + P] = evaluate_target(target, X[lo : lo + P])
+
+    def batch_at(self, i: int, P: int):
+        """(X, y): batch i of the last draw_window(..., P, ...) and its
+        target values, views of the workspace."""
+        return self.X[i * P : (i + 1) * P], self.y[i * P : (i + 1) * P]
 
     def batch_drift(self, X: np.ndarray, y: np.ndarray):
         """SGD drift (dc, dZ) of the batch (X, y) at the current state and
@@ -630,16 +630,21 @@ def run_schedule(
                 change = next((s for s, _ in cfg.batch_schedule if s > k), cfg.steps)
                 window_lo, window_hi = k, min(k + window // P, change, cfg.steps)
                 batch_streams.cover(window_lo, window_hi)
-                ws.draw_window(P, window_hi - k, lambda i: batch_streams.generator(window_lo + i))
-            X, y = ws.batch_at(target, k - window_lo, P)
+                ws.draw_window(target, P, window_hi - k,
+                               lambda i: batch_streams.generator(window_lo + i))
+            X, y = ws.batch_at(k - window_lo, P)
             dc, dZ, last_batch_loss = ws.batch_drift(X, y)
 
         if langevin and inv_beta_n > 0.0:
             dc, dZ = _add_prior(inv_beta_n, dc, dZ, c, Z, unit)
 
         if energy is not None:
-            V = tangent_project_rows(dZ, Z)
-            extras["flow_driftsq"][k - start_step] = float(np.dot(dc, dc) + np.sum(V * V))
+            # |dc|^2 + |tangent part of dZ|^2, formed as tangent_project_rows
+            # forms it, on the workspace buffers that apply() overwrites
+            zz = _sq_norms_into(Z, ws.zz, ws.tmp)
+            V = _tangent_project_into(dZ, Z, zz, ws.V, ws.coef, ws.tmp)
+            VV = np.multiply(V, V, out=ws.U)
+            extras["flow_driftsq"][k - start_step] = float(np.dot(dc, dc) + np.sum(VV))
 
         # noise amplitude this step
         if langevin:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import generator_for, stream
-from .units import ParticleEnsemble
+from .units import ParticleEnsemble, _eval_block_rows
 
 
 class DimensionMismatchError(ValueError):
@@ -79,25 +79,70 @@ class SpinTensor:
         return cls.sample(blob["d"], blob["seed"])
 
 
-# rows per block of the 3-spin evaluation
+# rows per chunk of the 3-spin evaluation of a batch
 _SPIN3_CHUNK = 4096
 
 
+def _spin3_block_rows(d: int) -> int:
+    """Rows per block of the 3-spin evaluation: a (rows, d^2) block holds
+    _EVAL_BLOCK_ENTRIES entries and stays in a core's cache."""
+    return min(_SPIN3_CHUNK, _eval_block_rows(d * d))
+
+
+def _spin3_scratch(d: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m1, m2) scratch of _spin3_eval_into for calls of up to rows rows."""
+    k = max(1, min(rows, _spin3_block_rows(d)))
+    return np.empty((k, d * d)), np.empty((k, 1, d))
+
+
+def _spin3_blocks(rows: int, part: int, block: int) -> list:
+    """(lo, hi, g) row blocks of _spin3_eval_into: rows lo..hi go through
+    the first contraction as g gemms of (hi - lo) / g rows."""
+    if rows <= min(part, block):
+        return [(0, rows, 1)]
+    cuts = []
+    if part <= block:
+        whole = rows - rows % part
+        step = block // part * part
+        for lo in range(0, whole, step):
+            hi = min(lo + step, whole)
+            cuts.append((lo, hi, (hi - lo) // part))
+        if whole < rows:
+            cuts.append((whole, rows, 1))
+        return cuts
+    for plo in range(0, rows, part):
+        phi = min(plo + part, rows)
+        for clo in range(plo, phi, _SPIN3_CHUNK):
+            chi = min(clo + _SPIN3_CHUNK, phi)
+            cuts.extend((lo, min(lo + block, chi), 1) for lo in range(clo, chi, block))
+    return cuts
+
+
 def _spin3_eval_into(t: SpinTensor, X: np.ndarray, out: np.ndarray, m1: np.ndarray,
-                     m2: np.ndarray) -> np.ndarray:
-    """out = f(X) row by row, in blocks of m1.shape[0] rows; m1 (block, d^2)
-    and m2 (block, 1, d) are scratch."""
+                     m2: np.ndarray, part: int = _SPIN3_CHUNK) -> np.ndarray:
+    """out = f(X) row by row; (m1, m2) is _spin3_scratch(d, len(X)).
+
+    The first contraction is a gemm whose rows can move in their last bits
+    with the number of rows it meets.  So it cuts X as one-shot calls on
+    consecutive parts of `part` rows would: each part in chunks of
+    _SPIN3_CHUNK rows, each chunk in blocks of _spin3_block_rows(d) rows.
+    Parts no longer than a block go a block's worth of whole parts at a
+    time through one stacked matmul, which makes one gemm per part.  The
+    other steps work row by row.
+    """
     d = t.d
     flat = t.a.reshape(d, d * d)
-    block = m1.shape[0]
-    for lo in range(0, X.shape[0], block):
-        Xc = X[lo : lo + block]
-        k = Xc.shape[0]
-        np.matmul(Xc, flat, out=m1[:k])                                    # sum over p
+    for lo, hi, g in _spin3_blocks(X.shape[0], part, _spin3_block_rows(d)):
+        Xc = X[lo:hi]
+        k = hi - lo
+        if g == 1:
+            np.matmul(Xc, flat, out=m1[:k])                                # sum over p
+        else:  # one gemm per part
+            np.matmul(Xc.reshape(g, k // g, d), flat, out=m1[:k].reshape(g, k // g, d * d))
         m = np.matmul(Xc[:, None, :], m1[:k].reshape(k, d, d), out=m2[:k])  # sum over q
         m = m[:, 0, :]
         m *= Xc
-        np.add.reduce(m, axis=1, out=out[lo : lo + block])                 # sum over r
+        np.add.reduce(m, axis=1, out=out[lo:hi])                            # sum over r
     out /= d
     return out
 
@@ -107,11 +152,7 @@ def spin3_eval_rows(t: SpinTensor, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != t.d:
         raise DimensionMismatchError(f"points have d = {X.shape[1]}, tensor d = {t.d}")
-    d = t.d
-    block = max(1, min(_SPIN3_CHUNK, X.shape[0]))
-    return _spin3_eval_into(
-        t, X, np.empty(X.shape[0]), np.empty((block, d * d)), np.empty((block, 1, d))
-    )
+    return _spin3_eval_into(t, X, np.empty(X.shape[0]), *_spin3_scratch(t.d, X.shape[0]))
 
 
 def _spin3_grad_into(t: SpinTensor, Z: np.ndarray, out: np.ndarray, t1: np.ndarray) -> np.ndarray:

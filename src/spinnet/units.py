@@ -244,12 +244,27 @@ def _weighted_grad_sum(unit, X, Z, W) -> np.ndarray:
 
 
 def unit_from_dict(blob: dict):
+    """The unit of a to_dict() blob, read without conversion.
+
+    int() would truncate a d of 2.5 and read true as 1, and float() would
+    read an alpha of true as 1.0: another network.  So a d that is not an
+    int and a bool alpha raise UnitMismatchError; an alpha that is not a
+    number raises TypeError.
+    """
     kind = blob.get("kind")
-    if kind == "rbf":
-        return RbfUnit(alpha=float(blob["alpha"]), d=int(blob["d"]))
+    if kind not in ("rbf", "sigmoid"):
+        raise UnitMismatchError(f"unknown unit kind: {kind!r}")
+    d = blob["d"]
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise UnitMismatchError(f"{kind} unit 'd' must be an int, got {d!r}")
     if kind == "sigmoid":
-        return SigmoidUnit(d=int(blob["d"]))
-    raise UnitMismatchError(f"unknown unit kind: {kind!r}")
+        return SigmoidUnit(d=d)
+    alpha = blob["alpha"]
+    if isinstance(alpha, bool):
+        raise UnitMismatchError(f"rbf unit 'alpha' must be a real number, got {alpha!r}")
+    if not isinstance(alpha, (int, float)):
+        raise TypeError(f"rbf unit 'alpha' must be a number, got {alpha!r}")
+    return RbfUnit(alpha=float(alpha), d=d)
 
 
 @dataclass

@@ -557,6 +557,9 @@ def test_slice_thin_checkpoint_exits_1(train_dir, tmp_path, drop):
     ("c", "ScheduleError"),
     ("alpha", "ScheduleError"),
     ("big-alpha", "ScheduleError"),  # alpha * d overflows the kernel
+    ("alpha-bool", "UnitMismatchError"),  # float() would read it as 1.0
+    ("d-float", "UnitMismatchError"),  # int() would truncate it
+    ("sigmoid-d-bool", "UnitMismatchError"),  # int() would read it as 1
     ("z", "UnitMismatchError"),
     ("tensor-seed-object", "DimensionMismatchError"),
     ("tensor-seed-float", "DimensionMismatchError"),  # int() would truncate it
@@ -591,6 +594,13 @@ def test_slice_damaged_ensemble_exits_1(train_dir, tmp_path, damage, error):
         ens["unit"]["alpha"] = "abc"
     elif damage == "big-alpha":
         ens["unit"]["alpha"] = 1000.0
+    elif damage == "alpha-bool":
+        ens["unit"]["alpha"] = True
+    elif damage == "d-float":
+        ens["unit"]["d"] = 2.5
+    elif damage == "sigmoid-d-bool":
+        # (a, b) rows of a 1-d sigmoid unit have the shape of the 2-d rbf rows
+        ens["unit"] = {"kind": "sigmoid", "d": True}
     else:
         ens["z"][0] = [2.0 * v for v in ens["z"][0]]
     ckpt = tmp_path / "ckpt_damaged.json"

@@ -243,6 +243,27 @@ def test_sampled_loss_keeps_no_batch_sized_array():
     assert peak < size * d * 8
 
 
+@pytest.mark.parametrize("call", ["draw_batch", "sampled_loss"])
+def test_spin3_scratch_stays_cache_sized(call):
+    # a 4096-row chunk's (4096, d^2) scratch is 20 MB at d = 25; the 3-spin
+    # blocks of 2^15 entries hold 256 KB.  Besides it, each call holds two
+    # (4096, d) arrays at once, the points and the sampler's or the sphere
+    # check's scratch, and a few (4096,) vectors
+    d, size = 25, 4096
+    t = SpinTensor.sample(d, 7)
+    e = InitSpec(c_law="normal").sample(SigmoidUnit(d=d), 1, stream(1, "init"))
+    tracemalloc.start()
+    try:
+        if call == "draw_batch":
+            draw_batch(t, d, size, stream(3, "big"))
+        else:
+            diag._sampled_loss(e, t, size, stream(3, "big"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - 2 * size * d * 8 < 1 << 20
+
+
 # -- exact rbf loss ------------------------------------------------------
 
 def test_exact_loss_zero_weights():

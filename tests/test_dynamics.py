@@ -29,6 +29,7 @@ from spinnet.targets import (
     DimensionMismatchError,
     PlantedTarget,
     SpinTensor,
+    evaluate_target,
     jordan_sample,
     spin3_eval_rows,
 )
@@ -582,28 +583,41 @@ def test_batch_step_failure_is_pinned(unit, kind, dt, seed, pinned):
     assert str(err.value) == f"non-finite {what} at step {step}, particle {particle}"
 
 
-def _quench_cfg(steps, seed=61):
+def _quench_cfg(steps, seed=61, sizes=(12, 40)):
     return TrainConfig(dt=1e-2, steps=steps, dynamics="sgd", init=InitSpec(c_law="normal"),
-                       master_seed=seed, batch_schedule=((0, 12), (15, 40)))
+                       master_seed=seed, batch_schedule=((0, sizes[0]), (15, sizes[1])))
+
+
+_SGD_CASES = [(kind, d, sizes) for kind in ("rbf", "sigmoid") for d in (5, 25)
+              for sizes in ((12, 40), (1, 1), (2, 144))]
+
+
+def _sgd_case_id(case):
+    kind, d, (p0, p1) = case
+    return kind if (d, p0, p1) == (5, 12, 40) else f"{kind}-d{d}-{p0}-{p1}"
 
 
 @pytest.mark.parametrize("pair_block", [None, 64])
-@pytest.mark.parametrize("unit", [RbfUnit(alpha=1.0, d=5), SigmoidUnit(d=5)],
-                         ids=["rbf", "sigmoid"])
-def test_run_schedule_equals_repeated_sgd_steps_bitwise(monkeypatch, unit, pair_block):
+@pytest.mark.parametrize("case", _SGD_CASES, ids=_sgd_case_id)
+def test_run_schedule_equals_repeated_sgd_steps_bitwise(monkeypatch, case, pair_block):
     # the schedule runner and the public step function share one batch
-    # step; 64-entry blocks split each batch into 3 (P=12) to 10 (P=40)
-    # feature blocks of 4 rows
+    # step; 64-entry blocks split each batch into up to 36 (P=144) feature
+    # blocks of 4 rows.  The runner evaluates a window of batches at once,
+    # whose 3-spin rows move in their last bits at d = 25 or P = 1 unless
+    # each batch is cut as a one-shot draw of its P rows
     if pair_block is not None:
         monkeypatch.setattr(diag, "_PAIR_CHUNK_ENTRIES", pair_block)
+    kind, d, sizes = case
     n = 16
+    # alpha d = 5 keeps the rbf kernel's peak, and the step, as at d = 5
+    unit = RbfUnit(alpha=5.0 / d, d=d) if kind == "rbf" else SigmoidUnit(d=d)
     t = SpinTensor.sample(unit.d, 61)
-    cfg = _quench_cfg(30)
+    cfg = _quench_cfg(30, sizes=sizes)
     e0 = cfg.init.sample(unit, n, stream(cfg.master_seed, "init"))
     final, _ = run_schedule(cfg, e0, t, DiagnosticPlan())
     e = e0
     for k in range(cfg.steps):
-        P = 12 if k < 15 else 40
+        P = sizes[0] if k < 15 else sizes[1]
         e = langevin_step(e, t, P, cfg.dt, math.inf, stream(cfg.master_seed, "batch", k))
     assert not np.array_equal(final.c, e0.c)
     assert np.array_equal(final.c, e.c)
@@ -698,16 +712,43 @@ def test_window_redraws_short_rows_as_the_per_step_sampler(monkeypatch):
     monkeypatch.setattr(geo, "_NORM_FLOOR", 2.0)
     d, P, count, seed = 5, 12, 7, 83
     unit = SigmoidUnit(d=d)
+    t = SpinTensor.sample(d, seed)
     e = InitSpec(c_law="normal").sample(unit, 4, stream(seed, "init"))
     ws = dyn._Workspace(unit, e.c, e.z, batch=P, window=P * count)
     streams = _StepStreams(seed, "batch")
     streams.cover(0, count)
-    ws.draw_window(P, count, streams.generator)
+    ws.draw_window(t, P, count, streams.generator)
     for k in range(count):
         want = _sphere_rows_into(d, stream(seed, "batch", k).generator(),
                                  np.empty((P, d)), np.empty(P), np.empty((P, d)))
-        assert np.array_equal(ws.X[k * P : (k + 1) * P], want)
+        X, y = ws.batch_at(k, P)
+        assert np.array_equal(X, want)
+        assert np.array_equal(y, spin3_eval_rows(t, want))
         assert np.all(np.linalg.norm(want, axis=1) > 0)
+
+
+@pytest.mark.parametrize("P", [1, 2, 12, 53, 144])
+@pytest.mark.parametrize("d", [5, 25])
+@pytest.mark.parametrize("kind", ["spin", "planted"])
+def test_window_values_are_the_one_shot_batch_values(kind, d, P):
+    # the window's 3-spin pass cuts each batch as a one-shot draw of its P
+    # rows; plain blocks across batches move rows in their last bits at
+    # P = 1, and at d = 25 for P = 2 and 53
+    unit = SigmoidUnit(d=d)
+    if kind == "spin":
+        t = SpinTensor.sample(d, 3)
+    else:
+        locations = stream(3, "atoms").generator().standard_normal((2, d + 1))
+        t = PlantedTarget(unit=unit, weights=np.array([0.7, -1.2]), locations=locations)
+    window = max(P, dyn._WINDOW_ENTRIES // d)
+    count = window // P
+    ws = dyn._Workspace(unit, np.zeros(4), np.zeros((4, d + 1)), batch=P, window=window)
+    streams = _StepStreams(5, "batch")
+    streams.cover(0, count)
+    ws.draw_window(t, P, count, streams.generator)
+    for k in range(count):
+        X, y = ws.batch_at(k, P)
+        assert np.array_equal(y, evaluate_target(t, X.copy())), k
 
 
 @pytest.mark.parametrize("table", [None, 7])

@@ -286,6 +286,26 @@ def test_unit_from_dict_rejects_unknown():
         unit_from_dict({"kind": "relu", "d": 3})
 
 
+@pytest.mark.parametrize("blob", [
+    {"kind": "rbf", "alpha": True, "d": 2},
+    {"kind": "rbf", "alpha": 1.0, "d": 2.5},
+    {"kind": "rbf", "alpha": 1.0, "d": 2.0},
+    {"kind": "sigmoid", "d": True},
+    {"kind": "sigmoid", "d": "3"},
+])
+def test_unit_from_dict_converts_nothing(blob):
+    # int() and float() would read each of these as another unit
+    with pytest.raises(UnitMismatchError):
+        unit_from_dict(blob)
+
+
+def test_unit_from_dict_reads_numbers_as_written():
+    assert unit_from_dict({"kind": "rbf", "alpha": 2, "d": 3}) == RbfUnit(alpha=2.0, d=3)
+    assert unit_from_dict({"kind": "sigmoid", "d": 3}) == SigmoidUnit(d=3)
+    with pytest.raises(TypeError):
+        unit_from_dict({"kind": "rbf", "alpha": "1.5", "d": 2})
+
+
 # -- batch kernel estimators --------------------------------------------------
 
 def test_khat_diagonal_is_nonnegative():

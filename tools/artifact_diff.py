@@ -17,10 +17,13 @@ fresh interpreter with that tree first on PYTHONPATH and one BLAS thread:
   whose probes evaluate the pair loss of a batch state;
 * the rbf preset at d=25 with n=16 and n=100 (``rbf-d25``), the one job
   whose 3-spin and network row blocks move bits when they are cut
-  differently.
+  differently;
+* the sigmoid preset at d=25 with n=5 (P=1) and n=64 (P=12, then 144 after
+  the quench) (``sgd-d25``), the one job whose batch windows move bits when
+  their 3-spin rows are cut differently from one-shot batches.
 
-The last two run two n values, fewer than a scaling study accepts, so they
-set ``experiment=train``.
+``sgd-rbf-d5`` and ``rbf-d25`` run two n values, fewer than a scaling study
+accepts, so they set ``experiment=train``.
 
 Every file a job writes (run CSVs, checkpoints, ``summary.json``,
 ``failures.json``) must exist on both sides with the same bytes, and the
@@ -54,6 +57,8 @@ PRESETS = (
                  "--set", "experiment=train",
                  "--set", "d=25", "--set", "n_list=16,100", "--set", "realizations=1",
                  "--set", "c_init=normal", "--set", "dt=1e-6")),
+    ("sgd-d25", ("train", "--preset", "paper-sigmoid-d10", "--scale", "0.01",
+                 "--set", "d=25", "--set", "n_list=5,64")),
 )
 SKIPPED = {"config.cfg"}
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
