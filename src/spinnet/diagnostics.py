@@ -35,7 +35,13 @@ from .targets import (
     _spin3_scratch,
     evaluate_target,
 )
-from .units import ParticleEnsemble, RbfUnit, _eval_block_rows, network_eval_rows
+from .units import (
+    ParticleEnsemble,
+    RbfUnit,
+    _eval_block_rows,
+    _kernel_sums_into,
+    network_eval_rows,
+)
 
 
 class EmptyBatchError(ValueError):
@@ -201,39 +207,6 @@ def _sampled_loss(e: ParticleEnsemble, target, size: int, rng) -> float:
     return float(0.5 * np.mean(r))
 
 
-# entries per row block of the n x n pair kernel; the SGD drift walks its
-# P x n feature blocks at the same size
-_PAIR_CHUNK_ENTRIES = 1 << 21
-
-
-def _block_rows(n: int) -> int:
-    """Rows of n entries in one block of _PAIR_CHUNK_ENTRIES entries."""
-    return max(1, _PAIR_CHUNK_ENTRIES // max(1, n))
-
-
-def _pair_block(n: int) -> np.ndarray:
-    """Scratch for one row block of the n x n pair kernel."""
-    return np.empty((min(n, _block_rows(n)), n))
-
-
-def _rbf_pair_sums_into(alpha: float, Z: np.ndarray, rhs: tuple, outs: tuple,
-                        ZT: np.ndarray, F: np.ndarray) -> tuple:
-    """outs[k] = sum_j phihat(z_i, z_j) rhs[k]_j, streamed in row blocks of
-    F.shape[0] rows; ZT (d, n) and F are scratch."""
-    n = Z.shape[0]
-    # a separate buffer for Z.T sends Z @ Z.T to gemm; numpy picks the much
-    # slower syrk when both operands share one buffer
-    np.copyto(ZT, Z.T)
-    rows = F.shape[0]
-    for lo in range(0, n, rows):
-        Fb = np.matmul(Z[lo : lo + rows], ZT, out=F[: min(rows, n - lo)])
-        Fb *= alpha
-        np.exp(Fb, out=Fb)
-        for out, R in zip(outs, rhs):
-            np.matmul(Fb, R, out=out[lo : lo + rows])
-    return outs
-
-
 def rbf_pair_terms(e: ParticleEnsemble, target) -> tuple[np.ndarray, float]:
     """Interaction sums of the RBF pair loss.
 
@@ -242,10 +215,10 @@ def rbf_pair_terms(e: ParticleEnsemble, target) -> tuple[np.ndarray, float]:
     """
     if not isinstance(e.unit, RbfUnit):
         raise InvalidDimensionError("pair loss is defined for RBF ensembles only")
-    (g,) = _rbf_pair_sums_into(e.unit.alpha, e.z, (e.c,), (np.empty(e.n),),
-                               np.empty(e.z.shape[::-1]), _pair_block(e.n))
-    quad = float(np.dot(e.c, g))
-    return g, quad
+    # a contiguous Z^T, as the exact flow's drift uses
+    F = np.empty((min(e.n, _eval_block_rows(e.n)), e.n))
+    (g,) = _kernel_sums_into(e.unit, e.z, np.ascontiguousarray(e.z.T), (e.c,), (np.empty(e.n),), F)
+    return g, float(np.dot(e.c, g))
 
 
 def rbf_exact_loss(e: ParticleEnsemble, target) -> float:

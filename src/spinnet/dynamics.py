@@ -37,10 +37,7 @@ from .diagnostics import (
     ExperimentReport,
     REPORT_COLUMNS,
     _atomic_write,
-    _block_rows,
     _check_on_sphere,
-    _pair_block,
-    _rbf_pair_sums_into,
     batch_residual,
     draw_batch,
     rbf_exact_loss,
@@ -65,7 +62,14 @@ from .targets import (
     evaluate_target,
     target_grad_rows,
 )
-from .units import _EVAL_BLOCK_ENTRIES, ParticleEnsemble, RbfUnit, UnitMismatchError
+from .units import (
+    _EVAL_BLOCK_ENTRIES,
+    ParticleEnsemble,
+    RbfUnit,
+    UnitMismatchError,
+    _eval_block_rows,
+    _kernel_sums_into,
+)
 
 DYNAMICS_KINDS = ("gd", "sgd", "langevin")
 
@@ -271,8 +275,8 @@ class _Workspace:
     draw_window() fills a window of `window` rows (at least `batch`) with
     the batches of consecutive steps and their target values, batch_at()
     returns one of them, and batch_drift() writes the SGD drift of a batch
-    of up to `batch` points into dc and dZ, walking it in feature blocks of
-    _PAIR_CHUNK_ENTRIES entries.
+    of up to `batch` points into dc and dZ.  Every kernel is walked in
+    blocks of _EVAL_BLOCK_ENTRIES entries.
     """
 
     def __init__(self, unit, c: np.ndarray, Z: np.ndarray, exact: bool = False,
@@ -290,12 +294,11 @@ class _Workspace:
             self.dc, self.dZ = np.empty(n), np.empty((n, p))
         if exact:
             self.m1, self.m2 = _spin3_scratch(p, n)
-            self.t1 = np.empty((n, p * p))
             self.fz, self.g, self.cn = (np.empty(n) for _ in range(3))
             self.gradf, self.cZ, self.gcz = (np.empty((n, p)) for _ in range(3))
-            self.ZT, self.F = np.empty((p, n)), _pair_block(n)
+            self.ZT, self.F = np.empty((p, n)), np.empty((min(n, _eval_block_rows(n)), n))
         if batch > 0:
-            rows = min(batch, _block_rows(n))
+            rows = min(batch, _eval_block_rows(n))
             self.feat, self.WF, self.S = (np.empty((rows, n)) for _ in range(3))
             self.net = np.empty(rows)
             self.acc, self.gsum = np.empty((n, p)), np.empty((n, p))
@@ -313,13 +316,16 @@ class _Workspace:
         c, Z, n, alpha = self.c, self.Z, self.n, self.unit.alpha
         if isinstance(target, SpinTensor):
             _spin3_eval_into(target, Z, self.fz, self.m1, self.m2)
-            _spin3_grad_into(target, Z, self.gradf, self.t1)
+            _spin3_grad_into(target, Z, self.gradf, self.m1)
         else:
             self.fz[:] = evaluate_target(target, Z)
             self.gradf[:] = target_grad_rows(target, Z)
         # g_i = sum_j c_j phihat(z_i, z_j), gcz_i = sum_j c_j phihat(z_i, z_j) z_j
         np.multiply(self.c_col, Z, out=self.cZ)
-        _rbf_pair_sums_into(alpha, Z, (c, self.cZ), (self.g, self.gcz), self.ZT, self.F)
+        # a separate buffer for Z^T sends Z @ Z^T to gemm; numpy picks the
+        # much slower syrk when both operands share one buffer
+        np.copyto(self.ZT, Z.T)
+        _kernel_sums_into(self.unit, Z, self.ZT, (c, self.cZ), (self.g, self.gcz), self.F)
         # dc = f(z) - g / n
         dc = np.divide(self.g, n, out=self.dc)
         np.subtract(self.fz, dc, out=dc)
@@ -383,7 +389,7 @@ class _Workspace:
         for lo in range(0, P, rows):
             Xb = X[lo : lo + rows]
             k = Xb.shape[0]
-            F = unit._features_into(Xb, Z, self.feat[:k], self.S[:k])
+            F = unit._features_into(Xb, Z.T, self.feat[:k], self.S[:k])
             # r = y - F c / n
             r = np.matmul(F, c, out=self.net[:k])
             r /= n

@@ -155,12 +155,16 @@ def spin3_eval_rows(t: SpinTensor, X: np.ndarray) -> np.ndarray:
     return _spin3_eval_into(t, X, np.empty(X.shape[0]), *_spin3_scratch(t.d, X.shape[0]))
 
 
-def _spin3_grad_into(t: SpinTensor, Z: np.ndarray, out: np.ndarray, t1: np.ndarray) -> np.ndarray:
-    """out = gradient rows at Z; out is a contiguous (n, d) array and t1
-    (n, d^2) scratch."""
+def _spin3_grad_into(t: SpinTensor, Z: np.ndarray, out: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """out = gradient rows at Z, in blocks of _spin3_block_rows(d) rows;
+    out is a contiguous (n, d) array and m1 is _spin3_scratch(d, n)[0]."""
     n, d = Z.shape
-    np.matmul(Z, t._grad_matrix(), out=t1)                   # sum over q -> [n, p, r]
-    np.matmul(t1.reshape(n, d, d), Z[:, :, None], out=out.reshape(n, d, 1))  # over r
+    rows = m1.shape[0]
+    for lo in range(0, n, rows):
+        Zb = Z[lo : lo + rows]
+        k = Zb.shape[0]
+        T = np.matmul(Zb, t._grad_matrix(), out=m1[:k]).reshape(k, d, d)  # sum over q
+        np.matmul(T, Zb[:, :, None], out=out[lo : lo + k].reshape(k, d, 1))  # over r
     out /= d
     return out
 
@@ -171,7 +175,7 @@ def spin3_grad_rows(t: SpinTensor, Z: np.ndarray) -> np.ndarray:
     if Z.shape[1] != t.d:
         raise DimensionMismatchError(f"points have d = {Z.shape[1]}, tensor d = {t.d}")
     n, d = Z.shape
-    return _spin3_grad_into(t, Z, np.empty((n, d)), np.empty((n, d * d)))
+    return _spin3_grad_into(t, Z, np.empty((n, d)), _spin3_scratch(d, n)[0])
 
 
 @dataclass(frozen=True)

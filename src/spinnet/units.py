@@ -98,17 +98,17 @@ class RbfUnit:
                 f"rbf particle positions off the sphere by {dev:.3e} (relative tol 1e-10)"
             )
 
-    def _features_into(self, X: np.ndarray, Z: np.ndarray, out: np.ndarray,
+    def _features_into(self, X: np.ndarray, ZT: np.ndarray, out: np.ndarray,
                        scratch: np.ndarray | None = None) -> np.ndarray:
-        """out = exp(alpha X Z^T) for 2-d X and Z; scratch is not used."""
-        F = np.matmul(X, Z.T, out=out)
+        """out = exp(alpha X Z^T) for 2-d X and ZT = Z^T; scratch is not used."""
+        F = np.matmul(X, ZT, out=out)
         F *= self.alpha
         return np.exp(F, out=F)
 
     def features(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """(P, n) matrix phihat(x_p, z_i) = exp(alpha * x_p . z_i)."""
         X, Z = np.atleast_2d(X), np.atleast_2d(Z)
-        return self._features_into(X, Z, np.empty((X.shape[0], Z.shape[0])))
+        return self._features_into(X, Z.T, np.empty((X.shape[0], Z.shape[0])))
 
     def eval_one(self, x: np.ndarray, z: np.ndarray) -> float:
         return float(np.exp(self.alpha * float(np.dot(x, z))))
@@ -173,17 +173,17 @@ class SigmoidUnit:
                 f"params have dim {Z.shape[1]}, expected {self.param_dim}"
             )
 
-    def _features_into(self, X: np.ndarray, Z: np.ndarray, out: np.ndarray,
+    def _features_into(self, X: np.ndarray, ZT: np.ndarray, out: np.ndarray,
                        scratch: np.ndarray) -> np.ndarray:
-        """out = h(a.x + b) for 2-d X and Z; scratch has out's shape."""
-        U = np.matmul(X, Z[:, : self.d].T, out=scratch)
-        U += Z[:, self.d]
+        """out = h(a.x + b) for 2-d X and ZT = Z^T; scratch has out's shape."""
+        U = np.matmul(X, ZT[: self.d], out=scratch)
+        U += ZT[self.d]
         return _logistic_into(U, out)
 
     def features(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         X, Z = np.atleast_2d(X), np.atleast_2d(Z)
         shape = (X.shape[0], Z.shape[0])
-        return self._features_into(X, Z, np.empty(shape), np.empty(shape))
+        return self._features_into(X, Z.T, np.empty(shape), np.empty(shape))
 
     def eval_one(self, x: np.ndarray, z: np.ndarray) -> float:
         u = float(np.dot(x, z[: self.d]) + z[self.d])
@@ -312,8 +312,8 @@ class ParticleEnsemble:
         )
 
 
-# entries per feature block when walking many eval points: 256 KB blocks
-# stay in a core's L2 cache through the in-place feature passes
+# entries per block of every blocked kernel (features, pair kernel, 3-spin
+# rows): 256 KB blocks stay in a core's L2 cache through the in-place passes
 _EVAL_BLOCK_ENTRIES = 1 << 15
 
 
@@ -321,16 +321,31 @@ def _eval_block_rows(n: int) -> int:
     return max(1, _EVAL_BLOCK_ENTRIES // max(1, n))
 
 
+def _kernel_sums_into(unit, X: np.ndarray, ZT: np.ndarray, rhs: tuple, outs: tuple,
+                      F: np.ndarray, S: np.ndarray | None = None) -> tuple:
+    """outs[k] = features(X, Z) @ rhs[k], in row blocks of F.shape[0] rows.
+
+    ZT is Z^T, (p, n), in the caller's layout: a contiguous copy and the
+    view Z.T can give other last bits.  F and S (sigmoid units) are block
+    scratch."""
+    rows = F.shape[0]
+    for lo in range(0, X.shape[0], rows):
+        Xb = X[lo : lo + rows]
+        k = Xb.shape[0]
+        Fb = unit._features_into(Xb, ZT, F[:k], None if S is None else S[:k])
+        for out, R in zip(outs, rhs):
+            np.matmul(Fb, R, out=out[lo : lo + rows])
+    return outs
+
+
 def network_eval_rows(e: ParticleEnsemble, X: np.ndarray) -> np.ndarray:
     """f^(n)(x) = (1/n) sum_i c_i phihat(x, z_i), in row blocks over eval points."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     out = np.empty(X.shape[0])
-    rows = _eval_block_rows(e.n)
-    for lo in range(0, X.shape[0], rows):
-        Xc = X[lo : lo + rows]
-        out[lo : lo + rows] = e.unit.features(Xc, e.z) @ e.c
-    out /= e.n
-    return out
+    # at least one row: an empty walk still needs a block size
+    F = np.empty((max(1, min(X.shape[0], _eval_block_rows(e.n))), e.n))
+    _kernel_sums_into(e.unit, X, e.z.T, (e.c,), (out,), F, np.empty_like(F))
+    return np.divide(out, e.n, out=out)
 
 
 def _batch_points(batch) -> np.ndarray:

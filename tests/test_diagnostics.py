@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spinnet.diagnostics as diag
+import spinnet.units as units
 from spinnet.diagnostics import (
     Batch,
     EmptyBatchError,
@@ -305,7 +306,7 @@ def test_pair_terms_chunking_is_invisible(monkeypatch):
     t = SpinTensor.sample(3, 7)
     e = rbf_ensemble(3, 29, 0.6, 7)
     g0, q0 = rbf_pair_terms(e, t)
-    monkeypatch.setattr(diag, "_PAIR_CHUNK_ENTRIES", 8)
+    monkeypatch.setattr(units, "_EVAL_BLOCK_ENTRIES", 8)
     g1, q1 = rbf_pair_terms(e, t)
     # row blocks of different heights may reassociate the BLAS sums
     assert np.allclose(g1, g0, rtol=1e-13, atol=0.0)

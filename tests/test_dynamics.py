@@ -1,5 +1,6 @@
 """Exact flow, online SGD, Langevin steps, and schedule execution."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import spinnet.diagnostics as diag
 import spinnet.dynamics as dyn
 import spinnet.geometry as geo
+import spinnet.units as units
 from spinnet.diagnostics import draw_batch, empirical_loss, signed_error_summary
 from spinnet.dynamics import (
     DiagnosticPlan,
@@ -382,7 +384,7 @@ def test_probe_row_matches_standalone_diagnostics_bitwise():
 def test_exact_loss_column_is_the_flow_energy_bitwise(monkeypatch, pair_block):
     # the probe's exact loss and the drift's pair loss share one pair kernel
     if pair_block is not None:
-        monkeypatch.setattr(diag, "_PAIR_CHUNK_ENTRIES", pair_block)
+        monkeypatch.setattr(units, "_EVAL_BLOCK_ENTRIES", pair_block)
     d, n = 5, 40
     unit = RbfUnit(alpha=1.0, d=d)
     t = SpinTensor.sample(d, 47)
@@ -539,7 +541,7 @@ def test_exact_flow_resume_at_noise_switch_is_bit_exact(monkeypatch, pair_block)
     # thermal noise for the first half, resumed exactly where it switches off;
     # 64-entry pair blocks walk the n x n kernel one row at a time
     if pair_block is not None:
-        monkeypatch.setattr(diag, "_PAIR_CHUNK_ENTRIES", pair_block)
+        monkeypatch.setattr(units, "_EVAL_BLOCK_ENTRIES", pair_block)
     d, n = 5, 40
     unit = RbfUnit(alpha=1.0, d=d)
     t = SpinTensor.sample(d, 59)
@@ -606,7 +608,7 @@ def test_run_schedule_equals_repeated_sgd_steps_bitwise(monkeypatch, case, pair_
     # whose 3-spin rows move in their last bits at d = 25 or P = 1 unless
     # each batch is cut as a one-shot draw of its P rows
     if pair_block is not None:
-        monkeypatch.setattr(diag, "_PAIR_CHUNK_ENTRIES", pair_block)
+        monkeypatch.setattr(units, "_EVAL_BLOCK_ENTRIES", pair_block)
     kind, d, sizes = case
     n = 16
     # alpha d = 5 keeps the rbf kernel's peak, and the step, as at d = 5
@@ -650,12 +652,31 @@ def test_sgd_drift_reads_the_batch_in_place_over_blocks(monkeypatch):
     batch = draw_batch(t, d, P, stream(71, "batch"))
     points, values = batch.points.copy(), batch.target_values.copy()
     dc1, dZ1 = sgd_drift(e, batch)
-    monkeypatch.setattr(diag, "_PAIR_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(units, "_EVAL_BLOCK_ENTRIES", 64)
     dc8, dZ8 = sgd_drift(e, batch)
     assert np.array_equal(batch.points, points)
     assert np.array_equal(batch.target_values, values)
     assert np.allclose(dc8, dc1, rtol=1e-13, atol=1e-15)
     assert np.allclose(dZ8, dZ1, rtol=1e-13, atol=1e-15)
+
+
+def test_exact_workspace_stays_cache_sized():
+    # at n = 1024, d = 25 an unblocked pair block and 3-spin gradient scratch
+    # held 8 MB and 4.9 MB; 2^15-entry blocks hold 256 KB each, besides about
+    # a dozen (n, d) and (n,) arrays of state and drift (2 MB)
+    d, n = 25, 1024
+    unit = RbfUnit(alpha=0.2, d=d)
+    t = SpinTensor.sample(d, 79)
+    t._grad_matrix()  # the tensor's cached (d, d^2) matrix is not the workspace's
+    e = InitSpec(c_law="normal").sample(unit, n, stream(79, "init"))
+    tracemalloc.start()
+    try:
+        ws = dyn._Workspace(unit, e.c, e.z, exact=True)
+        ws.flow_drift(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
 
 
 @pytest.mark.parametrize(

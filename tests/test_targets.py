@@ -145,6 +145,18 @@ def test_grad_matches_finite_differences_d10():
         assert rel < 1e-6
 
 
+def test_grad_walks_cache_sized_blocks():
+    # at d = 25 a block of the (rows, d^2) scratch holds 52 rows, so 130
+    # rows walk two whole blocks and a short one, each computed as a one-shot
+    # call on its own rows
+    d, n = 25, 130
+    t = SpinTensor.sample(d, 9)
+    Z = sample_sphere_rows(d, n, stream(5, "gblocks"))
+    rows = 52
+    want = np.concatenate([spin3_grad_rows(t, Z[lo : lo + rows]) for lo in range(0, n, rows)])
+    assert np.array_equal(spin3_grad_rows(t, Z), want)
+
+
 # -- planted targets ----------------------------------------------------------
 
 def test_empty_mixture_is_zero_target():

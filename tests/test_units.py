@@ -238,6 +238,32 @@ def test_network_is_linear_in_c():
     assert np.max(np.abs(both - split)) < 1e-12 * max(1.0, np.max(np.abs(both)))
 
 
+def test_network_of_no_points_is_empty():
+    # the block scratch is sized from the row count; an empty walk still
+    # needs a nonzero block size
+    for unit in (RbfUnit(alpha=1.0, d=3), SigmoidUnit(d=3)):
+        gen = stream(13, "empty").generator()
+        e = ParticleEnsemble(unit=unit, c=gen.standard_normal(6), z=unit.init_rows(6, gen))
+        out = network_eval_rows(e, np.empty((0, 3)))
+        assert out.shape == (0,)
+
+
+@pytest.mark.parametrize("unit", [RbfUnit(alpha=1.0, d=4), SigmoidUnit(d=4)],
+                         ids=["rbf", "sigmoid"])
+def test_network_is_the_blockwise_feature_sum_bitwise(unit):
+    # 3000 points at n = 40 walk four blocks of 819 rows and a short one;
+    # each block's values are features(X_block, z) @ c / n bit for bit
+    gen = stream(14, "blocks").generator()
+    n = 40
+    e = ParticleEnsemble(unit=unit, c=gen.standard_normal(n), z=unit.init_rows(n, gen))
+    X = sample_sphere_rows(4, 3000, gen)
+    rows = units._eval_block_rows(n)
+    assert rows < X.shape[0]
+    want = np.concatenate([unit.features(X[lo : lo + rows], e.z) @ e.c
+                           for lo in range(0, X.shape[0], rows)]) / n
+    assert np.array_equal(network_eval_rows(e, X), want)
+
+
 def test_network_chunking_is_invisible(monkeypatch):
     # different block sizes may reassociate the BLAS sums, so compare to a
     # tolerance rather than bitwise

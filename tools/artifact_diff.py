@@ -17,7 +17,10 @@ fresh interpreter with that tree first on PYTHONPATH and one BLAS thread:
   whose probes evaluate the pair loss of a batch state;
 * the rbf preset at d=25 with n=16 and n=100 (``rbf-d25``), the one job
   whose 3-spin and network row blocks move bits when they are cut
-  differently;
+  differently.  It runs 200 steps at the preset's dt=1e-3 with alpha=0.2,
+  so alpha*d = 5 as in the preset: with alpha=1 the run diverges at d=25
+  from dt=3e-6 up, and at a smaller dt the last bits of f(z_i) never
+  reach the written state;
 * the sigmoid preset at d=25 with n=5 (P=1) and n=64 (P=12, then 144 after
   the quench) (``sgd-d25``), the one job whose batch windows move bits when
   their 3-spin rows are cut differently from one-shot batches.
@@ -53,10 +56,10 @@ PRESETS = (
                     "--set", "experiment=train",
                     "--set", "dynamics=sgd", "--set", "c_init=normal",
                     "--set", "n_list=16,64", "--set", "realizations=1")),
-    ("rbf-d25", ("train", "--preset", "paper-rbf-d5", "--scale", "0.0001",
+    ("rbf-d25", ("train", "--preset", "paper-rbf-d5", "--scale", "0.001",
                  "--set", "experiment=train",
                  "--set", "d=25", "--set", "n_list=16,100", "--set", "realizations=1",
-                 "--set", "c_init=normal", "--set", "dt=1e-6")),
+                 "--set", "c_init=normal", "--set", "alpha=0.2")),
     ("sgd-d25", ("train", "--preset", "paper-sigmoid-d10", "--scale", "0.01",
                  "--set", "d=25", "--set", "n_list=5,64")),
 )
