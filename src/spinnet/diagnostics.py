@@ -28,7 +28,6 @@ from .geometry import (
 )
 from .rng import generator_for, stream
 from .targets import (
-    _SPIN3_CHUNK,
     SpinTensor,
     _check_target_d,
     _spin3_eval_into,
@@ -42,6 +41,10 @@ from .units import (
     _kernel_sums_into,
     network_eval_rows,
 )
+
+
+# rows per chunk of a streamed final evaluation
+_SPIN3_CHUNK = 4096
 
 
 class EmptyBatchError(ValueError):
@@ -85,7 +88,7 @@ def _check_on_sphere(pts: np.ndarray, nrm: np.ndarray, tmp: np.ndarray) -> None:
     dev = np.sqrt(_sq_norms_into(pts, nrm, tmp), out=nrm)
     dev -= radius
     dev = np.abs(dev, out=dev).max()
-    if dev > 1e-10 * radius:
+    if not dev <= 1e-10 * radius:  # a NaN row fails too
         raise InvalidDimensionError(
             f"batch points off the sphere by {dev:.3e} (relative tol 1e-10)"
         )
@@ -162,15 +165,16 @@ def _sampled_loss(e: ParticleEnsemble, target, size: int, rng) -> float:
     bit; for a SpinTensor target, with only the (size,) residual and one
     chunk's scratch in memory.
 
-    The batch is drawn, scaled and checked in chunks of _SPIN3_CHUNK rows,
-    the 3-spin chunks of the whole batch.  The network sees runs of rows
-    that are whole _eval_block_rows(n) blocks, the rest carried into the
-    next chunk, so both partitions, and with them the bits, are those of
-    the whole batch.  The sampler redraws short rows only once the whole
-    batch is drawn, so a chunk with a row below the norm floor replays the
-    batch unstreamed from the generator state before the first draw.  A
-    planted target is one product over the whole batch, whose rows move in
-    their last bits when it is cut, so it is not streamed.
+    The batch is drawn, scaled, checked and given its 3-spin values in
+    chunks of _SPIN3_CHUNK rows; a 3-spin value depends on its own row
+    alone.  The network sees runs of rows that are whole _eval_block_rows(n)
+    blocks, the rest carried into the next chunk, so its partition, and
+    with it the bits, is that of the whole batch.  The sampler redraws
+    short rows only once the whole batch is drawn, so a chunk with a row
+    below the norm floor replays the batch unstreamed from the generator
+    state before the first draw.  A planted target is one product over the
+    whole batch, whose rows move in their last bits when it is cut, so it
+    is not streamed.
     """
     gen = generator_for(rng)
     d = e.unit.d
@@ -182,7 +186,7 @@ def _sampled_loss(e: ParticleEnsemble, target, size: int, rng) -> float:
     block = _eval_block_rows(e.n)
     X = np.empty((min(size, chunk + block - 1), d))  # rows not yet through the network
     nrm, tmp = np.empty(chunk), np.empty((chunk, d))
-    m1, m2 = _spin3_scratch(d, chunk)
+    s3 = _spin3_scratch(d, chunk)
     r = np.empty(size)
     held = done = 0
     for lo in range(0, size, chunk):
@@ -195,7 +199,7 @@ def _sampled_loss(e: ParticleEnsemble, target, size: int, rng) -> float:
             return empirical_loss(e, draw_batch(target, d, size, gen))
         _scale_to_sphere(Xc, nk)
         _check_on_sphere(Xc, nk, tmp[:k])
-        _spin3_eval_into(target, Xc, r[lo : lo + k], m1, m2)
+        _spin3_eval_into(target, Xc, r[lo : lo + k], *s3)
         held += k
         ready = held if lo + k == size else held - held % block
         if ready:

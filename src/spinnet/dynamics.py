@@ -293,7 +293,7 @@ class _Workspace:
         if exact or batch > 0:
             self.dc, self.dZ = np.empty(n), np.empty((n, p))
         if exact:
-            self.m1, self.m2 = _spin3_scratch(p, n)
+            self.s3 = _spin3_scratch(p, n)
             self.fz, self.g, self.cn = (np.empty(n) for _ in range(3))
             self.gradf, self.cZ, self.gcz = (np.empty((n, p)) for _ in range(3))
             self.ZT, self.F = np.empty((p, n)), np.empty((min(n, _eval_block_rows(n)), n))
@@ -306,7 +306,7 @@ class _Workspace:
             d = unit.d
             self.X, self.xtmp = np.empty((window, d)), np.empty((window, d))
             self.xn, self.y = np.empty(window), np.empty(window)
-            self.xm1, self.xm2 = _spin3_scratch(d, window)
+            self.xs3 = _spin3_scratch(d, window)
 
     def ensemble(self) -> ParticleEnsemble:
         return ParticleEnsemble(unit=self.unit, c=self.c, z=self.Z)
@@ -315,8 +315,8 @@ class _Workspace:
         """Pair-loss descent drift (dc, dZ) at the current state."""
         c, Z, n, alpha = self.c, self.Z, self.n, self.unit.alpha
         if isinstance(target, SpinTensor):
-            _spin3_eval_into(target, Z, self.fz, self.m1, self.m2)
-            _spin3_grad_into(target, Z, self.gradf, self.m1)
+            _spin3_eval_into(target, Z, self.fz, *self.s3)
+            _spin3_grad_into(target, Z, self.gradf, self.s3[0])
         else:
             self.fz[:] = evaluate_target(target, Z)
             self.gradf[:] = target_grad_rows(target, Z)
@@ -341,7 +341,8 @@ class _Workspace:
         uniform points on S^{d-1}(sqrt(d)), batch i drawn from gen_at(i) as
         _sphere_rows_into draws it, check them on the sphere, then evaluate
         the target at all of them, each batch's values those of a one-shot
-        evaluation of its P rows.
+        evaluation of its P rows: a 3-spin value depends on its own row
+        alone, a planted target is evaluated batch by batch.
 
         gen_at(i) returns the generator at the start of batch i's stream.
         For a batch with a row below the norm floor it is called again, the
@@ -364,7 +365,7 @@ class _Workspace:
         _check_on_sphere(X, nrm, tmp)
         y = self.y[:rows]
         if isinstance(target, SpinTensor):
-            _spin3_eval_into(target, X, y, self.xm1, self.xm2, part=P)
+            _spin3_eval_into(target, X, y, *self.xs3)
         else:
             for lo in range(0, rows, P):
                 y[lo : lo + P] = evaluate_target(target, X[lo : lo + P])

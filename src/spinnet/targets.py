@@ -79,70 +79,46 @@ class SpinTensor:
         return cls.sample(blob["d"], blob["seed"])
 
 
-# rows per chunk of the 3-spin evaluation of a batch
-_SPIN3_CHUNK = 4096
+# rows of every gemm in the first contraction of the 3-spin evaluation
+_SLAB = 16
 
 
-def _spin3_block_rows(d: int) -> int:
-    """Rows per block of the 3-spin evaluation: a (rows, d^2) block holds
-    _EVAL_BLOCK_ENTRIES entries and stays in a core's cache."""
-    return min(_SPIN3_CHUNK, _eval_block_rows(d * d))
-
-
-def _spin3_scratch(d: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(m1, m2) scratch of _spin3_eval_into for calls of up to rows rows."""
-    k = max(1, min(rows, _spin3_block_rows(d)))
-    return np.empty((k, d * d)), np.empty((k, 1, d))
-
-
-def _spin3_blocks(rows: int, part: int, block: int) -> list:
-    """(lo, hi, g) row blocks of _spin3_eval_into: rows lo..hi go through
-    the first contraction as g gemms of (hi - lo) / g rows."""
-    if rows <= min(part, block):
-        return [(0, rows, 1)]
-    cuts = []
-    if part <= block:
-        whole = rows - rows % part
-        step = block // part * part
-        for lo in range(0, whole, step):
-            hi = min(lo + step, whole)
-            cuts.append((lo, hi, (hi - lo) // part))
-        if whole < rows:
-            cuts.append((whole, rows, 1))
-        return cuts
-    for plo in range(0, rows, part):
-        phi = min(plo + part, rows)
-        for clo in range(plo, phi, _SPIN3_CHUNK):
-            chi = min(clo + _SPIN3_CHUNK, phi)
-            cuts.extend((lo, min(lo + block, chi), 1) for lo in range(clo, chi, block))
-    return cuts
+def _spin3_scratch(d: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m1, m2, pad) scratch of _spin3_eval_into for calls of up to rows
+    rows; m1 is also the scratch of _spin3_grad_into.  A (k, d^2) block of
+    m1 holds about _EVAL_BLOCK_ENTRIES entries and stays in a core's cache."""
+    k = max(_SLAB, min(rows, _eval_block_rows(d * d)))
+    return np.empty((k, d * d)), np.empty((k, 1, d)), np.empty((_SLAB, d))
 
 
 def _spin3_eval_into(t: SpinTensor, X: np.ndarray, out: np.ndarray, m1: np.ndarray,
-                     m2: np.ndarray, part: int = _SPIN3_CHUNK) -> np.ndarray:
-    """out = f(X) row by row; (m1, m2) is _spin3_scratch(d, len(X)).
+                     m2: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """out = f(X) row by row; (m1, m2, pad) is _spin3_scratch(d, len(X)).
 
     The first contraction is a gemm whose rows can move in their last bits
-    with the number of rows it meets.  So it cuts X as one-shot calls on
-    consecutive parts of `part` rows would: each part in chunks of
-    _SPIN3_CHUNK rows, each chunk in blocks of _spin3_block_rows(d) rows.
-    Parts no longer than a block go a block's worth of whole parts at a
-    time through one stacked matmul, which makes one gemm per part.  The
-    other steps work row by row.
+    with the number of rows it meets, so every gemm meets _SLAB rows: X is
+    walked in blocks of whole slabs, and a tail shorter than a slab goes
+    through zero-padded in pad.  The other steps work row by row, so each
+    row's value is the same wherever the row sits in X.
     """
     d = t.d
     flat = t.a.reshape(d, d * d)
-    for lo, hi, g in _spin3_blocks(X.shape[0], part, _spin3_block_rows(d)):
-        Xc = X[lo:hi]
-        k = hi - lo
-        if g == 1:
-            np.matmul(Xc, flat, out=m1[:k])                                # sum over p
-        else:  # one gemm per part
-            np.matmul(Xc.reshape(g, k // g, d), flat, out=m1[:k].reshape(g, k // g, d * d))
+    block = m1.shape[0] // _SLAB * _SLAB
+    for lo in range(0, X.shape[0], block):
+        Xc = X[lo : lo + block]
+        k = Xc.shape[0]
+        whole = k - k % _SLAB
+        if whole:  # sum over p, one gemm per slab
+            np.matmul(Xc[:whole].reshape(-1, _SLAB, d), flat,
+                      out=m1[:whole].reshape(-1, _SLAB, d * d))
+        if whole < k:
+            pad[: k - whole] = Xc[whole:]
+            pad[k - whole :] = 0.0
+            np.matmul(pad, flat, out=m1[whole : whole + _SLAB])
         m = np.matmul(Xc[:, None, :], m1[:k].reshape(k, d, d), out=m2[:k])  # sum over q
         m = m[:, 0, :]
         m *= Xc
-        np.add.reduce(m, axis=1, out=out[lo:hi])                            # sum over r
+        np.add.reduce(m, axis=1, out=out[lo : lo + k])                      # sum over r
     out /= d
     return out
 
@@ -156,8 +132,8 @@ def spin3_eval_rows(t: SpinTensor, X: np.ndarray) -> np.ndarray:
 
 
 def _spin3_grad_into(t: SpinTensor, Z: np.ndarray, out: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """out = gradient rows at Z, in blocks of _spin3_block_rows(d) rows;
-    out is a contiguous (n, d) array and m1 is _spin3_scratch(d, n)[0]."""
+    """out = gradient rows at Z, in blocks of m1's rows; out is a
+    contiguous (n, d) array and m1 is _spin3_scratch(d, n)[0]."""
     n, d = Z.shape
     rows = m1.shape[0]
     for lo in range(0, n, rows):

@@ -93,7 +93,7 @@ class RbfUnit:
             return
         nrm = np.linalg.norm(Z, axis=1)
         dev = np.max(np.abs(nrm - self.radius))
-        if dev > 1e-10 * self.radius:
+        if not dev <= 1e-10 * self.radius:  # a NaN row fails too
             raise UnitMismatchError(
                 f"rbf particle positions off the sphere by {dev:.3e} (relative tol 1e-10)"
             )
@@ -284,6 +284,8 @@ class ParticleEnsemble:
         self.z = np.atleast_2d(np.asarray(self.z, dtype=np.float64))
         if self.c.ndim != 1 or self.c.size < 1:
             raise UnitMismatchError("c must be a non-empty 1-d array")
+        if not np.isfinite(self.c).all():
+            raise UnitMismatchError("c must be finite")
         if self.z.shape != (self.c.size, self.unit.param_dim):
             raise UnitMismatchError(
                 f"z shape {self.z.shape} does not match n = {self.c.size}, "
@@ -365,17 +367,6 @@ def unit_kernel_mc(unit, z1: np.ndarray, z2: np.ndarray, batch) -> float:
     f1 = unit.features(X, np.atleast_2d(z1))[:, 0]
     f2 = unit.features(X, np.atleast_2d(z2))[:, 0]
     return float(np.sum(f1 * f2) / X.shape[0])
-
-
-def target_overlap_mc(unit, z: np.ndarray, batch) -> float:
-    """Batch Monte Carlo estimate of E[f(x) phihat(x,z)] using the batch's
-    stored target values."""
-    X = _batch_points(batch)
-    if X.shape[0] == 0:
-        raise UnitMismatchError("empty batch")
-    vals = np.asarray(batch.target_values, dtype=np.float64)
-    f = unit.features(X, np.atleast_2d(z))[:, 0]
-    return float(np.sum(vals * f) / X.shape[0])
 
 
 def weighted_kernel_gram(e: ParticleEnsemble, batch) -> np.ndarray:

@@ -32,6 +32,9 @@ from spinnet.dynamics import (
 from spinnet.experiments import build_spec, run_experiment, run_gradcheck
 from spinnet.targets import evaluate_target, jordan_sample
 
+# the slow suite: `pytest -m "not acceptance"` runs the rest
+pytestmark = pytest.mark.acceptance
+
 
 def verdict(num: int, label: str, ok: bool, detail: str) -> None:
     print(f"criterion {num:02d} {label}: {'PASS' if ok else 'FAIL'} ({detail})")

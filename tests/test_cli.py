@@ -561,6 +561,8 @@ def test_slice_thin_checkpoint_exits_1(train_dir, tmp_path, drop):
     ("d-float", "UnitMismatchError"),  # int() would truncate it
     ("sigmoid-d-bool", "UnitMismatchError"),  # int() would read it as 1
     ("z", "UnitMismatchError"),
+    ("z-nan", "UnitMismatchError"),
+    ("c-nan", "UnitMismatchError"),
     ("tensor-seed-object", "DimensionMismatchError"),
     ("tensor-seed-float", "DimensionMismatchError"),  # int() would truncate it
     ("tensor-seed-bool", "DimensionMismatchError"),  # int() would read it as 1
@@ -568,9 +570,9 @@ def test_slice_thin_checkpoint_exits_1(train_dir, tmp_path, drop):
     ("negative-step", "ScheduleError"),
 ])
 def test_slice_damaged_ensemble_exits_1(train_dir, tmp_path, damage, error):
-    # a checkpoint ensemble with a field of the wrong type, or with
-    # positions off the sphere, a tensor key that is not an int, or a
-    # negative step, exits 1 with one JSON error line
+    # a checkpoint ensemble with a field of the wrong type, a position off
+    # the sphere or NaN, a NaN weight, a tensor key that is not an int, or
+    # a negative step, exits 1 with one JSON error line
     out, _ = train_dir
     with open(os.path.join(out, "ckpt_n4_r0_s0.json")) as fh:
         blob = json.load(fh)
@@ -598,6 +600,10 @@ def test_slice_damaged_ensemble_exits_1(train_dir, tmp_path, damage, error):
         ens["unit"]["alpha"] = True
     elif damage == "d-float":
         ens["unit"]["d"] = 2.5
+    elif damage == "z-nan":
+        ens["z"][0][0] = np.nan
+    elif damage == "c-nan":
+        ens["c"][0] = np.nan
     elif damage == "sigmoid-d-bool":
         # (a, b) rows of a 1-d sigmoid unit have the shape of the 2-d rbf rows
         ens["unit"] = {"kind": "sigmoid", "d": True}

@@ -93,6 +93,9 @@ def test_batch_rejects_off_sphere_points():
     X[1] *= 1.0 + 1e-6
     with pytest.raises(InvalidDimensionError):
         Batch(points=X, target_values=np.zeros(3))
+    X[1, 2] = np.nan
+    with pytest.raises(InvalidDimensionError):
+        Batch(points=X, target_values=np.zeros(3))
 
 
 def test_batch_rejects_mismatched_values():

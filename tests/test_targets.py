@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from spinnet import targets
 from spinnet.geometry import sample_sphere_rows
 from spinnet.rng import stream
 from spinnet.targets import (
@@ -83,6 +84,20 @@ def test_eval_matches_triple_loop(d):
     got = spin3_eval_rows(t, X)
     want = np.array([spin3_naive(t.a, x) for x in X])
     assert np.max(np.abs(got - want)) < 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("d", [2, 5, 10, 25])
+def test_eval_of_a_slice_is_the_slice_of_the_eval_bitwise(d):
+    # a row's value does not depend on where it sits: a row alone, a run
+    # inside a slab, a run across a slab and a block boundary and a tail
+    # shorter than a slab all equal the same rows of the whole evaluation
+    t = SpinTensor.sample(d, 5)
+    block = targets._spin3_scratch(d, 1 << 20)[0].shape[0] // targets._SLAB * targets._SLAB
+    n = 2 * block + 7
+    X = sample_sphere_rows(d, n, stream(5, "slice"))
+    whole = spin3_eval_rows(t, X)
+    for lo, hi in [(3, 4), (3, 10), (block - 21, block + 9), (n - 7, n), (n - 40, n)]:
+        assert np.array_equal(spin3_eval_rows(t, X[lo:hi]), whole[lo:hi]), (lo, hi)
 
 
 def test_eval_is_exactly_odd():

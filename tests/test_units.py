@@ -15,11 +15,17 @@ from spinnet.units import (
     SigmoidUnit,
     UnitMismatchError,
     network_eval_rows,
-    target_overlap_mc,
     unit_from_dict,
     unit_kernel_mc,
     weighted_kernel_gram,
 )
+
+
+def target_overlap_mc(unit, z, batch):
+    """Batch Monte Carlo estimate of E[f(x) phihat(x,z)] from the batch's
+    stored target values."""
+    f = unit.features(batch.points, np.atleast_2d(z))[:, 0]
+    return float(np.sum(batch.target_values * f) / batch.P)
 
 
 def central_diff(fn, x, h=1e-5):
@@ -289,6 +295,13 @@ def test_ensemble_validates_shapes_and_sphere():
         ParticleEnsemble(unit=unit, c=np.ones(3), z=z)
     with pytest.raises(ValueError):
         ParticleEnsemble(unit=unit, c=np.ones(2), z=1.5 * z)  # off the sphere
+    nan_z = z.copy()
+    nan_z[0, 1] = np.nan
+    with pytest.raises(UnitMismatchError):
+        ParticleEnsemble(unit=unit, c=np.ones(2), z=nan_z)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(UnitMismatchError):
+            ParticleEnsemble(unit=unit, c=np.array([1.0, bad]), z=z)
     # sigmoid parameters are unconstrained
     su = SigmoidUnit(d=3)
     ParticleEnsemble(unit=su, c=np.ones(2), z=np.full((2, 4), 37.0))

@@ -22,8 +22,8 @@ fresh interpreter with that tree first on PYTHONPATH and one BLAS thread:
   from dt=3e-6 up, and at a smaller dt the last bits of f(z_i) never
   reach the written state;
 * the sigmoid preset at d=25 with n=5 (P=1) and n=64 (P=12, then 144 after
-  the quench) (``sgd-d25``), the one job whose batch windows move bits when
-  their 3-spin rows are cut differently from one-shot batches.
+  the quench) (``sgd-d25``), the one job with one-row batches, whose 3-spin
+  values move bits when a one-row gemm gives their first contraction.
 
 ``sgd-rbf-d5`` and ``rbf-d25`` run two n values, fewer than a scaling study
 accepts, so they set ``experiment=train``.
