@@ -21,6 +21,7 @@ import numpy as np
 
 from .geometry import (
     InvalidDimensionError,
+    _redraw_short_rows,
     _scale_to_sphere,
     _short_rows,
     _sq_norms_into,
@@ -43,7 +44,8 @@ from .units import (
 )
 
 
-# rows per chunk of a streamed final evaluation
+# rows per chunk of a streamed final evaluation, rounded down to whole
+# network blocks (at least one)
 _SPIN3_CHUNK = 4096
 
 
@@ -160,21 +162,53 @@ def signed_error_summary(e: ParticleEnsemble, batch: Batch) -> tuple[float, floa
     return residual_signed_split(batch_residual(e, batch), batch.target_values)
 
 
+def _sphere_batches_into(target, X: np.ndarray, y: np.ndarray, P: int, gen_at,
+                         nrm: np.ndarray, tmp: np.ndarray, s3: tuple) -> bool:
+    """Fill X with len(X) // P batches of P uniform points on
+    S^{d-1}(sqrt(d)), batch i drawn from gen_at(i) as _sphere_rows_into
+    draws it, and y with their target values, each batch's those of a
+    one-shot evaluation of its rows; nrm, tmp and s3 are scratch.
+
+    For a batch with a short row, gen_at(i) is called again, the batch's
+    first draw replayed from it and its short rows redrawn; if that call
+    returns None, the result is False and X and y are unfinished.
+    """
+    for lo in range(0, len(X), P):
+        gen_at(lo // P).standard_normal(out=X[lo : lo + P])
+    nrm = np.sqrt(_sq_norms_into(X, nrm, tmp), out=nrm)
+    short = _short_rows(nrm)
+    if short.any():  # np.unique's first call imports about 1 MB
+        for i in np.unique(np.flatnonzero(short) // P).tolist():
+            rows = slice(i * P, (i + 1) * P)
+            gen = gen_at(i)
+            if gen is None:
+                return False
+            gen.standard_normal(out=X[rows])
+            _redraw_short_rows(X.shape[1], gen, X[rows], nrm[rows], tmp[rows])
+    _scale_to_sphere(X, nrm)
+    _check_on_sphere(X, nrm, tmp)
+    if isinstance(target, SpinTensor):
+        _spin3_eval_into(target, X, y, *s3)
+    else:
+        for lo in range(0, len(X), P):
+            y[lo : lo + P] = evaluate_target(target, X[lo : lo + P])
+    return True
+
+
 def _sampled_loss(e: ParticleEnsemble, target, size: int, rng) -> float:
     """empirical_loss(e, draw_batch(target, e.unit.d, size, rng)) bit for
     bit; for a SpinTensor target, with only the (size,) residual and one
     chunk's scratch in memory.
 
-    The batch is drawn, scaled, checked and given its 3-spin values in
-    chunks of _SPIN3_CHUNK rows; a 3-spin value depends on its own row
-    alone.  The network sees runs of rows that are whole _eval_block_rows(n)
-    blocks, the rest carried into the next chunk, so its partition, and
-    with it the bits, is that of the whole batch.  The sampler redraws
-    short rows only once the whole batch is drawn, so a chunk with a row
-    below the norm floor replays the batch unstreamed from the generator
-    state before the first draw.  A planted target is one product over the
-    whole batch, whose rows move in their last bits when it is cut, so it
-    is not streamed.
+    The batch is drawn from the one generator and evaluated in chunks of
+    as many whole _eval_block_rows(n) network blocks as fit in _SPIN3_CHUNK
+    rows, at least one, so the network's partition, and with it the bits,
+    is that of the whole batch; a 3-spin value depends on its own row
+    alone.  The sampler redraws short rows only once the whole batch is
+    drawn, so a chunk with a row below the norm floor replays the batch
+    unstreamed from the generator state before the first draw.  A planted
+    target is one product over the whole batch, whose rows move in their
+    last bits when it is cut, so it is not streamed.
     """
     gen = generator_for(rng)
     d = e.unit.d
@@ -182,31 +216,20 @@ def _sampled_loss(e: ParticleEnsemble, target, size: int, rng) -> float:
         return empirical_loss(e, draw_batch(target, d, size, gen))
     _check_target_d(target, e.unit)
     start = gen.bit_generator.state
-    chunk = min(size, _SPIN3_CHUNK)
     block = _eval_block_rows(e.n)
-    X = np.empty((min(size, chunk + block - 1), d))  # rows not yet through the network
-    nrm, tmp = np.empty(chunk), np.empty((chunk, d))
+    chunk = min(size, block * max(1, _SPIN3_CHUNK // block))
+    X, tmp, nrm = np.empty((chunk, d)), np.empty((chunk, d)), np.empty(chunk)
     s3 = _spin3_scratch(d, chunk)
     r = np.empty(size)
-    held = done = 0
     for lo in range(0, size, chunk):
         k = min(chunk, size - lo)
-        Xc = X[held : held + k]
-        gen.standard_normal(out=Xc)
-        nk = np.sqrt(_sq_norms_into(Xc, nrm[:k], tmp[:k]), out=nrm[:k])
-        if _short_rows(nk).any():
+        # one batch of k rows, whose generator answers a replay with None
+        if not _sphere_batches_into(target, X[:k], r[lo : lo + k], k,
+                                    lambda i, calls=iter((gen, None)): next(calls),
+                                    nrm[:k], tmp[:k], s3):
             gen.bit_generator.state = start
             return empirical_loss(e, draw_batch(target, d, size, gen))
-        _scale_to_sphere(Xc, nk)
-        _check_on_sphere(Xc, nk, tmp[:k])
-        _spin3_eval_into(target, Xc, r[lo : lo + k], *s3)
-        held += k
-        ready = held if lo + k == size else held - held % block
-        if ready:
-            r[done : done + ready] -= network_eval_rows(e, X[:ready])
-            done += ready
-            held -= ready
-            X[:held] = X[ready : ready + held]
+        r[lo : lo + k] -= network_eval_rows(e, X[:k])
     r *= r
     return float(0.5 * np.mean(r))
 

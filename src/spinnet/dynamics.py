@@ -37,7 +37,7 @@ from .diagnostics import (
     ExperimentReport,
     REPORT_COLUMNS,
     _atomic_write,
-    _check_on_sphere,
+    _sphere_batches_into,
     batch_residual,
     draw_batch,
     rbf_exact_loss,
@@ -45,10 +45,7 @@ from .diagnostics import (
     residual_signed_split,
 )
 from .geometry import (
-    _redraw_short_rows,
     _retract_into,
-    _scale_to_sphere,
-    _short_rows,
     _sq_norms_into,
     _tangent_project_into,
 )
@@ -338,37 +335,10 @@ class _Workspace:
 
     def draw_window(self, target, P: int, count: int, gen_at) -> None:
         """Fill the first count * P window rows with count batches of P
-        uniform points on S^{d-1}(sqrt(d)), batch i drawn from gen_at(i) as
-        _sphere_rows_into draws it, check them on the sphere, then evaluate
-        the target at all of them, each batch's values those of a one-shot
-        evaluation of its P rows: a 3-spin value depends on its own row
-        alone, a planted target is evaluated batch by batch.
-
-        gen_at(i) returns the generator at the start of batch i's stream.
-        For a batch with a row below the norm floor it is called again, the
-        batch's first draw is replayed from it, and the redraw loop runs on
-        the batch.
-        """
-        d, rows = self.unit.d, P * count
-        X, nrm, tmp = self.X[:rows], self.xn[:rows], self.xtmp[:rows]
-        for i in range(count):
-            gen_at(i).standard_normal(out=X[i * P : (i + 1) * P])
-        nrm = np.sqrt(_sq_norms_into(X, nrm, tmp), out=nrm)
-        short = _short_rows(nrm)
-        if short.any():
-            for i in np.unique(np.flatnonzero(short) // P).tolist():
-                rows_i = slice(i * P, (i + 1) * P)
-                gen = gen_at(i)
-                gen.standard_normal(out=X[rows_i])
-                _redraw_short_rows(d, gen, X[rows_i], nrm[rows_i], tmp[rows_i])
-        _scale_to_sphere(X, nrm)
-        _check_on_sphere(X, nrm, tmp)
-        y = self.y[:rows]
-        if isinstance(target, SpinTensor):
-            _spin3_eval_into(target, X, y, *self.xs3)
-        else:
-            for lo in range(0, rows, P):
-                y[lo : lo + P] = evaluate_target(target, X[lo : lo + P])
+        points, batch i from gen_at(i), and their target values."""
+        rows = P * count
+        _sphere_batches_into(target, self.X[:rows], self.y[:rows], P, gen_at,
+                             self.xn[:rows], self.xtmp[:rows], self.xs3)
 
     def batch_at(self, i: int, P: int):
         """(X, y): batch i of the last draw_window(..., P, ...) and its

@@ -123,11 +123,17 @@ def _spin3_eval_into(t: SpinTensor, X: np.ndarray, out: np.ndarray, m1: np.ndarr
     return out
 
 
+def _points_of_d(X, d: int, owner: str) -> np.ndarray:
+    """X as 2-d float rows of d entries, or DimensionMismatchError."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != d:
+        raise DimensionMismatchError(f"points have d = {X.shape[1]}, {owner} d = {d}")
+    return X
+
+
 def spin3_eval_rows(t: SpinTensor, X: np.ndarray) -> np.ndarray:
     """f(x) = (1/d) sum_{pqr} a_pqr x_p x_q x_r for each row of X."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != t.d:
-        raise DimensionMismatchError(f"points have d = {X.shape[1]}, tensor d = {t.d}")
+    X = _points_of_d(X, t.d, "tensor")
     return _spin3_eval_into(t, X, np.empty(X.shape[0]), *_spin3_scratch(t.d, X.shape[0]))
 
 
@@ -147,9 +153,7 @@ def _spin3_grad_into(t: SpinTensor, Z: np.ndarray, out: np.ndarray, m1: np.ndarr
 
 def spin3_grad_rows(t: SpinTensor, Z: np.ndarray) -> np.ndarray:
     """Ambient gradient rows: (1/d) sum_{qr} (a_pqr + a_rpq + a_qrp) z_q z_r."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    if Z.shape[1] != t.d:
-        raise DimensionMismatchError(f"points have d = {Z.shape[1]}, tensor d = {t.d}")
+    Z = _points_of_d(Z, t.d, "tensor")
     n, d = Z.shape
     return _spin3_grad_into(t, Z, np.empty((n, d)), _spin3_scratch(d, n)[0])
 
@@ -189,12 +193,12 @@ class PlantedTarget:
         return float(np.sum(np.abs(self.weights)))
 
     def eval_rows(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = _points_of_d(X, self.unit.d, "planted")
         return self.unit.features(X, self.locations) @ self.weights
 
     def grad_rows(self, X: np.ndarray) -> np.ndarray:
         """Input-space gradient rows of the mixture."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = _points_of_d(X, self.unit.d, "planted")
         out = np.zeros_like(X)
         for w, z in zip(self.weights, self.locations):
             out += w * self.unit.grad_input(X, z)

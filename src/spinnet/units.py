@@ -172,6 +172,8 @@ class SigmoidUnit:
             raise UnitMismatchError(
                 f"params have dim {Z.shape[1]}, expected {self.param_dim}"
             )
+        if not np.isfinite(Z).all():
+            raise UnitMismatchError("sigmoid unit parameters must be finite")
 
     def _features_into(self, X: np.ndarray, ZT: np.ndarray, out: np.ndarray,
                        scratch: np.ndarray) -> np.ndarray:

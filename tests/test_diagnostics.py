@@ -193,9 +193,10 @@ def test_sampled_loss_equals_the_drawn_batch_loss_bitwise(unit_kind, d, target_k
 
 @pytest.mark.parametrize("n, size", [(1, 40000), (12, 10000), (100, 10000), (256, 4097)])
 def test_sampled_loss_cuts_the_batch_where_the_whole_batch_is_cut(monkeypatch, n, size):
-    # a row's value moves in its last bits when the network or the 3-spin
-    # form meets it in a block of another row count, which a mean can hide;
-    # calls of whole network blocks and of full chunks keep both partitions
+    # a row's network value moves in its last bits when the network meets
+    # it in a block of another row count, which a mean can hide; calls of
+    # whole network blocks keep the partition.  A 3-spin value depends on
+    # its own row alone, so the 3-spin calls need only cover the batch
     net, spin = diag.network_eval_rows, diag._spin3_eval_into
     net_rows, spin_rows = [], []
     monkeypatch.setattr(diag, "network_eval_rows",
@@ -206,7 +207,7 @@ def test_sampled_loss_cuts_the_batch_where_the_whole_batch_is_cut(monkeypatch, n
     diag._sampled_loss(e, SpinTensor.sample(5, 7), size, stream(3, "big"))
     block = _eval_block_rows(n)
     assert sum(net_rows) == size and all(m % block == 0 for m in net_rows[:-1])
-    assert sum(spin_rows) == size and set(spin_rows[:-1]) <= {4096}
+    assert sum(spin_rows) == size
 
 
 def test_sampled_loss_replays_a_batch_with_short_rows(monkeypatch):
@@ -221,6 +222,27 @@ def test_sampled_loss_replays_a_batch_with_short_rows(monkeypatch):
     want = empirical_loss(e, draw_batch(t, 3, 5000, ref))
     assert diag._sampled_loss(e, t, 5000, gen) == want
     assert len(replays) == 1
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
+def test_sampled_loss_replays_a_batch_with_short_rows_in_a_later_chunk(monkeypatch):
+    # at n = 64 the chunks have 4096 rows; a floor between the smallest norm
+    # of the first chunk and that of the batch leaves the first chunk whole,
+    # so the replay comes after a chunk went through the network
+    d, size = 3, 10000
+    nrm = np.linalg.norm(stream(5, "big").generator().standard_normal((size, d)), axis=1)
+    assert nrm.min() < nrm[:4096].min()
+    t = SpinTensor.sample(d, 7)
+    e = InitSpec(c_law="normal").sample(SigmoidUnit(d=d), 64, stream(1, "init"))
+    monkeypatch.setattr("spinnet.geometry._NORM_FLOOR", 0.5 * (nrm.min() + nrm[:4096].min()))
+    gen, ref = stream(5, "big").generator(), stream(5, "big").generator()
+    want = empirical_loss(e, draw_batch(t, d, size, ref))
+    calls, net = [], diag.network_eval_rows
+    monkeypatch.setattr(diag, "network_eval_rows",
+                        lambda e, X: calls.append(len(X)) or net(e, X))
+    monkeypatch.setattr(diag, "draw_batch", lambda *a: calls.append("replay") or draw_batch(*a))
+    assert diag._sampled_loss(e, t, size, gen) == want
+    assert calls == [4096, "replay", size]
     assert gen.bit_generator.state == ref.bit_generator.state
 
 

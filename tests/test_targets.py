@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from spinnet import targets
+from spinnet.diagnostics import draw_batch
 from spinnet.geometry import sample_sphere_rows
 from spinnet.rng import stream
 from spinnet.targets import (
@@ -215,6 +216,27 @@ def test_planted_rejects_zero_weight_and_bad_shape():
         PlantedTarget(unit=unit, weights=np.array([0.0]), locations=z)
     with pytest.raises(DimensionMismatchError):
         PlantedTarget(unit=unit, weights=np.array([1.0, 2.0]), locations=z)
+
+
+@pytest.mark.parametrize("kind", ["spin", "planted-rbf", "planted-sigmoid"])
+def test_targets_refuse_points_of_another_d(kind):
+    # a planted target of d = 5 used to meet 3-d points in a bare matmul
+    if kind == "spin":
+        t, owner = SpinTensor.sample(5, 0), "tensor"
+    else:
+        unit = RbfUnit(alpha=1.0, d=5) if kind == "planted-rbf" else SigmoidUnit(d=5)
+        locs = sample_sphere_rows(5, 2, stream(9, "atoms"))
+        if kind == "planted-sigmoid":
+            locs = np.hstack([locs, np.ones((2, 1))])
+        t, owner = PlantedTarget(unit=unit, weights=np.array([0.7, -1.2]), locations=locs), "planted"
+    X = sample_sphere_rows(3, 8, stream(9, "x"))
+    msg = f"points have d = 3, {owner} d = 5"
+    with pytest.raises(DimensionMismatchError, match=msg):
+        draw_batch(t, 3, 8, stream(9, "x"))
+    with pytest.raises(DimensionMismatchError, match=msg):
+        evaluate_target(t, X)
+    with pytest.raises(DimensionMismatchError, match=msg):
+        target_grad_rows(t, X)
 
 
 def test_planted_gradient_matches_finite_differences():

@@ -302,9 +302,16 @@ def test_ensemble_validates_shapes_and_sphere():
     for bad in (np.nan, np.inf):
         with pytest.raises(UnitMismatchError):
             ParticleEnsemble(unit=unit, c=np.array([1.0, bad]), z=z)
-    # sigmoid parameters are unconstrained
+    # sigmoid parameters are unconstrained, but finite
     su = SigmoidUnit(d=3)
     ParticleEnsemble(unit=su, c=np.ones(2), z=np.full((2, 4), 37.0))
+    for bad in (np.nan, np.inf, -np.inf):
+        sz = np.full((2, 4), 0.5)
+        sz[1, 2] = bad
+        with pytest.raises(UnitMismatchError, match="finite"):
+            ParticleEnsemble(unit=su, c=np.ones(2), z=sz)
+        with pytest.raises(UnitMismatchError, match="finite"):
+            PlantedTarget(unit=su, weights=np.ones(2), locations=sz)
 
 
 def test_ensemble_roundtrip_is_bitwise():
