@@ -51,8 +51,6 @@ from .targets import (
     SpinTensor,
     evaluate_target,
     jordan_sample,
-    spin3_eval_rows,
-    spin3_grad_rows,
     target_grad_rows,
 )
 from .units import (
@@ -104,8 +102,6 @@ __all__ = [
     "save_checkpoint",
     "sgd_drift",
     "signed_error_summary",
-    "spin3_eval_rows",
-    "spin3_grad_rows",
     "stream",
     "subseed",
     "tangent_kernel_gram",

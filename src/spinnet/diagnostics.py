@@ -28,13 +28,7 @@ from .geometry import (
     sample_sphere_rows,
 )
 from .rng import generator_for, stream
-from .targets import (
-    SpinTensor,
-    _check_target_d,
-    _spin3_eval_into,
-    _spin3_scratch,
-    evaluate_target,
-)
+from .targets import _check_target_d, _spin3_scratch, evaluate_target
 from .units import (
     ParticleEnsemble,
     RbfUnit,
@@ -187,37 +181,33 @@ def _sphere_batches_into(target, X: np.ndarray, y: np.ndarray, P: int, gen_at,
             _redraw_short_rows(X.shape[1], gen, X[rows], nrm[rows], tmp[rows])
     _scale_to_sphere(X, nrm)
     _check_on_sphere(X, nrm, tmp)
-    if isinstance(target, SpinTensor):
-        _spin3_eval_into(target, X, y, *s3)
-    else:
-        for lo in range(0, len(X), P):
-            y[lo : lo + P] = evaluate_target(target, X[lo : lo + P])
+    target._values_into(X, y, s3, P)
     return True
 
 
 def _sampled_loss(e: ParticleEnsemble, target, size: int, rng) -> float:
     """empirical_loss(e, draw_batch(target, e.unit.d, size, rng)) bit for
-    bit; for a SpinTensor target, with only the (size,) residual and one
-    chunk's scratch in memory.
+    bit, with only the (size,) residual and one chunk's points and scratch
+    in memory.
 
     The batch is drawn from the one generator and evaluated in chunks of
     as many whole _eval_block_rows(n) network blocks as fit in _SPIN3_CHUNK
     rows, at least one, so the network's partition, and with it the bits,
-    is that of the whole batch; a 3-spin value depends on its own row
-    alone.  The sampler redraws short rows only once the whole batch is
-    drawn, so a chunk with a row below the norm floor replays the batch
-    unstreamed from the generator state before the first draw.  A planted
-    target is one product over the whole batch, whose rows move in their
-    last bits when it is cut, so it is not streamed.
+    is that of the whole batch.  A row-local target (3-spin) is evaluated
+    chunk by chunk; any other (planted) is one product over the whole
+    batch, so its batch is one chunk.  The sampler redraws short rows only
+    once the whole batch is drawn, so a chunk with a row below the norm
+    floor replays the batch unstreamed from the generator state before the
+    first draw.
     """
     gen = generator_for(rng)
-    d = e.unit.d
-    if size < 1 or not isinstance(target, SpinTensor):
-        return empirical_loss(e, draw_batch(target, d, size, gen))
+    if size < 1:
+        raise EmptyBatchError(f"batch size must be >= 1, got {size}")
     _check_target_d(target, e.unit)
+    d = e.unit.d
     start = gen.bit_generator.state
     block = _eval_block_rows(e.n)
-    chunk = min(size, block * max(1, _SPIN3_CHUNK // block))
+    chunk = min(size, block * max(1, _SPIN3_CHUNK // block)) if target.row_local else size
     X, tmp, nrm = np.empty((chunk, d)), np.empty((chunk, d)), np.empty(chunk)
     s3 = _spin3_scratch(d, chunk)
     r = np.empty(size)
@@ -234,7 +224,7 @@ def _sampled_loss(e: ParticleEnsemble, target, size: int, rng) -> float:
     return float(0.5 * np.mean(r))
 
 
-def rbf_pair_terms(e: ParticleEnsemble, target) -> tuple[np.ndarray, float]:
+def rbf_pair_terms(e: ParticleEnsemble) -> tuple[np.ndarray, float]:
     """Interaction sums of the RBF pair loss.
 
     Returns (g, quad) with g_i = sum_j c_j phihat(z_i, z_j) and
@@ -252,7 +242,7 @@ def rbf_exact_loss(e: ParticleEnsemble, target) -> float:
     """Batch-free RBF surrogate loss (target constant excluded)."""
     # pair terms first: they reject non-RBF ensembles before the target is
     # asked to evaluate at parameter vectors that are not sphere points
-    _, quad = rbf_pair_terms(e, target)
+    _, quad = rbf_pair_terms(e)
     fz = evaluate_target(target, e.z)
     n = e.n
     return float(-np.dot(e.c, fz) / n + 0.5 * quad / (n * n))

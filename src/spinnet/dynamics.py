@@ -49,21 +49,14 @@ from .geometry import (
     _sq_norms_into,
     _tangent_project_into,
 )
-from .rng import _StepStreams, generator_for
-from .targets import (
-    SpinTensor,
-    _check_target_d,
-    _spin3_eval_into,
-    _spin3_grad_into,
-    _spin3_scratch,
-    evaluate_target,
-    target_grad_rows,
-)
+from .rng import _StepStreams, _check_rng, generator_for
+from .targets import _check_target_d, _spin3_scratch
 from .units import (
     _EVAL_BLOCK_ENTRIES,
     ParticleEnsemble,
     RbfUnit,
     UnitMismatchError,
+    _check_points,
     _eval_block_rows,
     _kernel_sums_into,
 )
@@ -272,8 +265,10 @@ class _Workspace:
     draw_window() fills a window of `window` rows (at least `batch`) with
     the batches of consecutive steps and their target values, batch_at()
     returns one of them, and batch_drift() writes the SGD drift of a batch
-    of up to `batch` points into dc and dZ.  Every kernel is walked in
-    blocks of _EVAL_BLOCK_ENTRIES entries.
+    of up to `batch` points into dc and dZ.  Target values and gradients
+    come from the target's own _values_into / _grads_into on the
+    workspace's _spin3_scratch buffers, whatever kind of target it is.
+    Every kernel is walked in blocks of _EVAL_BLOCK_ENTRIES entries.
     """
 
     def __init__(self, unit, c: np.ndarray, Z: np.ndarray, exact: bool = False,
@@ -311,12 +306,8 @@ class _Workspace:
     def flow_drift(self, target):
         """Pair-loss descent drift (dc, dZ) at the current state."""
         c, Z, n, alpha = self.c, self.Z, self.n, self.unit.alpha
-        if isinstance(target, SpinTensor):
-            _spin3_eval_into(target, Z, self.fz, *self.s3)
-            _spin3_grad_into(target, Z, self.gradf, self.s3[0])
-        else:
-            self.fz[:] = evaluate_target(target, Z)
-            self.gradf[:] = target_grad_rows(target, Z)
+        target._values_into(Z, self.fz, self.s3, n)
+        target._grads_into(Z, self.gradf, self.s3)
         # g_i = sum_j c_j phihat(z_i, z_j), gcz_i = sum_j c_j phihat(z_i, z_j) z_j
         np.multiply(self.c_col, Z, out=self.cZ)
         # a separate buffer for Z^T sends Z @ Z^T to gemm; numpy picks the
@@ -439,6 +430,7 @@ def _add_prior(inv: float, dc, dZ, c, Z, unit):
 
 def sgd_drift(e: ParticleEnsemble, batch: Batch):
     """(dc, dZ) ambient drift for a given batch (no step applied)."""
+    _check_points(e.unit, batch.points)
     ws = _Workspace(e.unit, e.c, e.z, batch=batch.P)
     dc, dZ, _ = ws.batch_drift(batch.points, batch.target_values)
     return dc, dZ
@@ -463,11 +455,13 @@ def langevin_step(
         raise ScheduleError(f"dt must be >= 0 and finite, got {dt}")
     if not (beta > 0):
         raise ScheduleError(f"beta must be positive, got {beta}")
-    gen = generator_for(rng)
+    _check_rng(rng)
     exact = batch_size is None
     if exact and not isinstance(e.unit, RbfUnit):
         raise ScheduleError("exact-drift langevin requires an RBF ensemble")
     _check_target_d(target, e.unit)
+    # a generator is built only for a step that draws a batch or noise
+    gen = None if exact and math.isinf(beta) else generator_for(rng)
     ws = _Workspace(e.unit, e.c, e.z, exact=exact, batch=batch_size or 0)
     if exact:
         dc, dZ = ws.flow_drift(target)
@@ -496,12 +490,6 @@ def _active(schedule: tuple, step: int, default):
     return out
 
 
-def _target_key(target) -> dict:
-    if isinstance(target, SpinTensor):
-        return target.to_dict()
-    return {"kind": "planted", "atoms": int(target.weights.size)}
-
-
 def run_schedule(
     cfg: TrainConfig,
     e0: ParticleEnsemble,
@@ -524,6 +512,8 @@ def run_schedule(
     if exact_flow and not isinstance(unit, RbfUnit):
         raise ScheduleError("batch-free dynamics requires an RBF ensemble")
     _check_target_d(target, unit)
+    if plan.eval_batch is not None:
+        _check_points(unit, plan.eval_batch.points)
     n = e0.n
     P_max = max((P for _, P in cfg.batch_schedule), default=0)
     window = max(P_max, _WINDOW_ENTRIES // unit.d) if P_max else 0
@@ -648,7 +638,7 @@ def run_schedule(
         "n": n,
         "steps": cfg.steps,
         "dt": cfg.dt,
-        "target": _target_key(target),
+        "target": target.report_key(),
     }
     summaries = {}
     if rows:

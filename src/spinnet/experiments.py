@@ -42,7 +42,7 @@ from .dynamics import (
 )
 from .geometry import sample_sphere_rows
 from .rng import stream, subseed
-from .targets import SpinTensor, evaluate_target, spin3_grad_rows
+from .targets import SpinTensor, evaluate_target
 from .units import RbfUnit, SigmoidUnit
 
 
@@ -471,7 +471,7 @@ def run_gradcheck(spec: ExperimentSpec, cases: int = 20, tol: float = 1e-6) -> d
         errs["target_grad"] = max(
             errs["target_grad"],
             _rel_err(
-                spin3_grad_rows(tensor, x[None, :])[0],
+                tensor.grad_rows(x[None, :])[0],
                 _central_diff(lambda v: float(evaluate_target(tensor, v[None, :])[0]), x),
             ),
         )

@@ -53,13 +53,16 @@ def subseed(seed: int, role: str, index: int = 0) -> int:
     return _hash64(str(seed & _MASK64), role, str(int(index)))
 
 
+def _check_rng(rng) -> None:
+    """Raise TypeError unless rng is an RngStream or a numpy Generator."""
+    if not isinstance(rng, (RngStream, np.random.Generator)):
+        raise TypeError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")
+
+
 def generator_for(rng: RngStream | np.random.Generator) -> np.random.Generator:
     """Accept an RngStream or an already-built Generator."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")
+    _check_rng(rng)
+    return rng.generator() if isinstance(rng, RngStream) else rng
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,12 @@ so realizations can be pinned across runs without shipping d^3 floats.
 
 A planted target is a finite signed mixture of units, f(x) = sum_k w_k
 phihat(x, z_k); it gives initializations and fixed points with known
-structure.  These two are the only targets: evaluate_target and
-target_grad_rows refuse anything else with a TypeError.
+structure.
+
+These two are the only targets, and each answers for itself through the
+one interface of _Target, so no other module asks which kind it holds;
+evaluate_target, target_grad_rows and _check_target_d refuse any other
+object with a TypeError.
 """
 from __future__ import annotations
 
@@ -28,14 +32,47 @@ class DegenerateMeasureError(ValueError):
     """Raised when an operation needs a nonzero total-variation mixture."""
 
 
+def _points_of_d(X, d: int, owner: str) -> np.ndarray:
+    """X as 2-d float rows of d entries, or DimensionMismatchError."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != d:
+        raise DimensionMismatchError(f"points have d = {X.shape[1]}, {owner} d = {d}")
+    return X
+
+
+class _Target:
+    """The target interface.  Each kind sets d (input dimension), _name
+    (its word in error messages) and row_local (True when a batch's rows
+    may be evaluated in pieces of any size without moving a bit), and
+    writes report_key() (the target entry of a run's metadata) and the
+    unchecked _values_into(X, out, scratch, P) / _grads_into(Z, out,
+    scratch), which write into caller buffers; scratch is
+    _spin3_scratch(d, len(X)) and X holds batches of P rows."""
+
+    def eval_rows(self, X: np.ndarray) -> np.ndarray:
+        """Target values at the rows of X, evaluated as one batch."""
+        X = _points_of_d(X, self.d, self._name)
+        n = X.shape[0]
+        return self._values_into(X, np.empty(n), _spin3_scratch(self.d, n), max(n, 1))
+
+    def grad_rows(self, Z: np.ndarray) -> np.ndarray:
+        """Ambient input-space gradient rows at the rows of Z."""
+        Z = _points_of_d(Z, self.d, self._name)
+        return self._grads_into(Z, np.empty(Z.shape), _spin3_scratch(self.d, Z.shape[0]))
+
+
 @dataclass(eq=False)
-class SpinTensor:
+class SpinTensor(_Target):
     """Dense order-3 coefficient tensor; immutable after construction."""
 
     d: int
     seed: int
     a: np.ndarray
     _sym_qpr: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    _name = "tensor"
+    # each value depends on its own row alone, so a batch may be cut anywhere
+    row_local = True
 
     def __post_init__(self):
         if self.d < 1:
@@ -63,8 +100,18 @@ class SpinTensor:
             self._sym_qpr = sym.transpose((1, 0, 2)).reshape(d, d * d)
         return self._sym_qpr
 
+    def _values_into(self, X, out, scratch, P):
+        """out = f(x) = (1/d) sum_{pqr} a_pqr x_p x_q x_r for each row of X."""
+        return _spin3_eval_into(self, X, out, *scratch)
+
+    def _grads_into(self, Z, out, scratch):
+        """out = (1/d) sum_{qr} (a_pqr + a_rpq + a_qrp) z_q z_r for each row of Z."""
+        return _spin3_grad_into(self, Z, out, scratch[0])
+
     def to_dict(self) -> dict:
         return {"kind": "spin3", "d": self.d, "seed": self.seed}
+
+    report_key = to_dict
 
     @classmethod
     def from_dict(cls, blob: dict) -> "SpinTensor":
@@ -123,20 +170,6 @@ def _spin3_eval_into(t: SpinTensor, X: np.ndarray, out: np.ndarray, m1: np.ndarr
     return out
 
 
-def _points_of_d(X, d: int, owner: str) -> np.ndarray:
-    """X as 2-d float rows of d entries, or DimensionMismatchError."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != d:
-        raise DimensionMismatchError(f"points have d = {X.shape[1]}, {owner} d = {d}")
-    return X
-
-
-def spin3_eval_rows(t: SpinTensor, X: np.ndarray) -> np.ndarray:
-    """f(x) = (1/d) sum_{pqr} a_pqr x_p x_q x_r for each row of X."""
-    X = _points_of_d(X, t.d, "tensor")
-    return _spin3_eval_into(t, X, np.empty(X.shape[0]), *_spin3_scratch(t.d, X.shape[0]))
-
-
 def _spin3_grad_into(t: SpinTensor, Z: np.ndarray, out: np.ndarray, m1: np.ndarray) -> np.ndarray:
     """out = gradient rows at Z, in blocks of m1's rows; out is a
     contiguous (n, d) array and m1 is _spin3_scratch(d, n)[0]."""
@@ -151,20 +184,17 @@ def _spin3_grad_into(t: SpinTensor, Z: np.ndarray, out: np.ndarray, m1: np.ndarr
     return out
 
 
-def spin3_grad_rows(t: SpinTensor, Z: np.ndarray) -> np.ndarray:
-    """Ambient gradient rows: (1/d) sum_{qr} (a_pqr + a_rpq + a_qrp) z_q z_r."""
-    Z = _points_of_d(Z, t.d, "tensor")
-    n, d = Z.shape
-    return _spin3_grad_into(t, Z, np.empty((n, d)), _spin3_scratch(d, n)[0])
-
-
 @dataclass(frozen=True)
-class PlantedTarget:
+class PlantedTarget(_Target):
     """Finite signed mixture of units: f(x) = sum_k w_k phihat(x, z_k)."""
 
     unit: object
     weights: np.ndarray
     locations: np.ndarray
+
+    _name = "planted"
+    # one product per batch, whose rows move in their last bits when it is cut
+    row_local = False
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -192,16 +222,24 @@ class PlantedTarget:
     def total_variation(self) -> float:
         return float(np.sum(np.abs(self.weights)))
 
-    def eval_rows(self, X: np.ndarray) -> np.ndarray:
-        X = _points_of_d(X, self.unit.d, "planted")
-        return self.unit.features(X, self.locations) @ self.weights
+    @property
+    def d(self) -> int:
+        return self.unit.d
 
-    def grad_rows(self, X: np.ndarray) -> np.ndarray:
-        """Input-space gradient rows of the mixture."""
-        X = _points_of_d(X, self.unit.d, "planted")
-        out = np.zeros_like(X)
+    def report_key(self) -> dict:
+        return {"kind": "planted", "atoms": int(self.weights.size)}
+
+    def _values_into(self, X, out, scratch, P):
+        """out = f(X), one product per batch of P rows; scratch is not used."""
+        for lo in range(0, X.shape[0], P):
+            out[lo : lo + P] = self.unit.features(X[lo : lo + P], self.locations) @ self.weights
+        return out
+
+    def _grads_into(self, Z, out, scratch):
+        """out = input-space gradient rows of the mixture; scratch is not used."""
+        out.fill(0.0)
         for w, z in zip(self.weights, self.locations):
-            out += w * self.unit.grad_input(X, z)
+            out += w * self.unit.grad_input(Z, z)
         return out
 
 
@@ -224,30 +262,27 @@ def jordan_sample(p: PlantedTarget, n: int, rng):
     return ParticleEnsemble(unit=p.unit, c=c, z=p.locations[idx].copy())
 
 
+def _as_target(target, what: str) -> _Target:
+    """target, or TypeError unless it is a SpinTensor or a PlantedTarget."""
+    if not isinstance(target, _Target):
+        raise TypeError(f"{what} target of type {type(target).__name__}")
+    return target
+
+
 def evaluate_target(target, X: np.ndarray) -> np.ndarray:
     """Target values at the rows of X for a SpinTensor or a PlantedTarget;
     any other object raises TypeError."""
-    if isinstance(target, SpinTensor):
-        return spin3_eval_rows(target, X)
-    if isinstance(target, PlantedTarget):
-        return target.eval_rows(X)
-    raise TypeError(f"cannot evaluate target of type {type(target).__name__}")
-
-
-def _check_target_d(target, unit) -> None:
-    """Raise DimensionMismatchError unless a SpinTensor or PlantedTarget
-    target lives in the unit's input dimension."""
-    if isinstance(target, SpinTensor) and target.d != unit.d:
-        raise DimensionMismatchError(f"points have d = {unit.d}, tensor d = {target.d}")
-    if isinstance(target, PlantedTarget) and target.unit.d != unit.d:
-        raise DimensionMismatchError(f"points have d = {unit.d}, planted d = {target.unit.d}")
+    return _as_target(target, "cannot evaluate").eval_rows(X)
 
 
 def target_grad_rows(target, Z: np.ndarray) -> np.ndarray:
     """Ambient input-space gradient rows of a SpinTensor or a PlantedTarget;
     any other object raises TypeError."""
-    if isinstance(target, SpinTensor):
-        return spin3_grad_rows(target, Z)
-    if isinstance(target, PlantedTarget):
-        return target.grad_rows(Z)
-    raise TypeError(f"no gradient available for target of type {type(target).__name__}")
+    return _as_target(target, "no gradient available for").grad_rows(Z)
+
+
+def _check_target_d(target, unit) -> None:
+    """Raise TypeError unless target is a SpinTensor or a PlantedTarget and
+    DimensionMismatchError unless it lives in the unit's input dimension."""
+    if _as_target(target, "cannot train on").d != unit.d:
+        raise DimensionMismatchError(f"points have d = {unit.d}, {target._name} d = {target.d}")

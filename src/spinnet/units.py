@@ -32,6 +32,14 @@ class UnitMismatchError(ValueError):
     pass
 
 
+def _check_points(unit, X: np.ndarray) -> np.ndarray:
+    """X, or InvalidDimensionError unless its rows have the unit's d
+    entries.  The per-step _features_into calls go without it."""
+    if X.shape[1] != unit.d:
+        raise InvalidDimensionError(f"points have d = {X.shape[1]}, unit d = {unit.d}")
+    return X
+
+
 def _logistic_into(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = h(u); u is overwritten and out must be a different array.
 
@@ -107,7 +115,7 @@ class RbfUnit:
 
     def features(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """(P, n) matrix phihat(x_p, z_i) = exp(alpha * x_p . z_i)."""
-        X, Z = np.atleast_2d(X), np.atleast_2d(Z)
+        X, Z = _check_points(self, np.atleast_2d(X)), np.atleast_2d(Z)
         return self._features_into(X, Z.T, np.empty((X.shape[0], Z.shape[0])))
 
     def eval_one(self, x: np.ndarray, z: np.ndarray) -> float:
@@ -183,7 +191,7 @@ class SigmoidUnit:
         return _logistic_into(U, out)
 
     def features(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        X, Z = np.atleast_2d(X), np.atleast_2d(Z)
+        X, Z = _check_points(self, np.atleast_2d(X)), np.atleast_2d(Z)
         shape = (X.shape[0], Z.shape[0])
         return self._features_into(X, Z.T, np.empty(shape), np.empty(shape))
 
@@ -344,7 +352,7 @@ def _kernel_sums_into(unit, X: np.ndarray, ZT: np.ndarray, rhs: tuple, outs: tup
 
 def network_eval_rows(e: ParticleEnsemble, X: np.ndarray) -> np.ndarray:
     """f^(n)(x) = (1/n) sum_i c_i phihat(x, z_i), in row blocks over eval points."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _check_points(e.unit, np.atleast_2d(np.asarray(X, dtype=np.float64)))
     out = np.empty(X.shape[0])
     # at least one row: an empty walk still needs a block size
     F = np.empty((max(1, min(X.shape[0], _eval_block_rows(e.n))), e.n))

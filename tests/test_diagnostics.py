@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spinnet.diagnostics as diag
+import spinnet.targets as targets
 import spinnet.units as units
 from spinnet.diagnostics import (
     Batch,
@@ -197,11 +198,11 @@ def test_sampled_loss_cuts_the_batch_where_the_whole_batch_is_cut(monkeypatch, n
     # it in a block of another row count, which a mean can hide; calls of
     # whole network blocks keep the partition.  A 3-spin value depends on
     # its own row alone, so the 3-spin calls need only cover the batch
-    net, spin = diag.network_eval_rows, diag._spin3_eval_into
+    net, spin = diag.network_eval_rows, targets._spin3_eval_into
     net_rows, spin_rows = [], []
     monkeypatch.setattr(diag, "network_eval_rows",
                         lambda e, X: net_rows.append(len(X)) or net(e, X))
-    monkeypatch.setattr(diag, "_spin3_eval_into",
+    monkeypatch.setattr(targets, "_spin3_eval_into",
                         lambda t, X, *a: spin_rows.append(len(X)) or spin(t, X, *a))
     e = InitSpec(c_law="normal").sample(SigmoidUnit(d=5), n, stream(1, "init", n))
     diag._sampled_loss(e, SpinTensor.sample(5, 7), size, stream(3, "big"))
@@ -252,6 +253,28 @@ def test_sampled_loss_validation():
         diag._sampled_loss(e, SpinTensor.sample(3, 7), 0, stream(3, "big"))
     with pytest.raises(DimensionMismatchError, match="tensor d = 4"):
         diag._sampled_loss(e, SpinTensor.sample(4, 7), 10, stream(3, "big"))
+    # an object that is not a target is refused before a point is drawn
+    gen = stream(3, "big").generator()
+    state = gen.bit_generator.state
+    for bad in (lambda X: np.sum(X, axis=1), "not a target"):
+        with pytest.raises(TypeError, match="cannot train on"):
+            diag._sampled_loss(e, bad, 10, gen)
+    assert gen.bit_generator.state == state
+
+
+def test_sampled_loss_evaluates_a_planted_target_as_one_chunk(monkeypatch):
+    # a planted target moves bits when its batch is cut, so the streamed
+    # loop takes its whole batch as one chunk and never replays it
+    size = 10000
+    e = InitSpec(c_law="normal").sample(SigmoidUnit(d=5), 12, stream(1, "init"))
+    t = _target("planted", e)
+    want = empirical_loss(e, draw_batch(t, 5, size, stream(3, "big")))
+    calls, net = [], diag.network_eval_rows
+    monkeypatch.setattr(diag, "network_eval_rows",
+                        lambda e, X: calls.append(len(X)) or net(e, X))
+    monkeypatch.setattr(diag, "draw_batch", lambda *a: calls.append("replay") or draw_batch(*a))
+    assert diag._sampled_loss(e, t, size, stream(3, "big")) == want
+    assert calls == [size]
 
 
 def test_sampled_loss_keeps_no_batch_sized_array():
@@ -328,11 +351,10 @@ def test_exact_loss_single_particle_quadratic():
 
 
 def test_pair_terms_chunking_is_invisible(monkeypatch):
-    t = SpinTensor.sample(3, 7)
     e = rbf_ensemble(3, 29, 0.6, 7)
-    g0, q0 = rbf_pair_terms(e, t)
+    g0, q0 = rbf_pair_terms(e)
     monkeypatch.setattr(units, "_EVAL_BLOCK_ENTRIES", 8)
-    g1, q1 = rbf_pair_terms(e, t)
+    g1, q1 = rbf_pair_terms(e)
     # row blocks of different heights may reassociate the BLAS sums
     assert np.allclose(g1, g0, rtol=1e-13, atol=0.0)
     assert q1 == pytest.approx(q0, rel=1e-13)

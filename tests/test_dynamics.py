@@ -26,14 +26,13 @@ from spinnet.dynamics import (
     sgd_drift,
 )
 from spinnet.geometry import _sphere_rows_into, sample_sphere_rows
-from spinnet.rng import _StepStreams, stream
+from spinnet.rng import RngStream, _StepStreams, stream
 from spinnet.targets import (
     DimensionMismatchError,
     PlantedTarget,
     SpinTensor,
     evaluate_target,
     jordan_sample,
-    spin3_eval_rows,
 )
 from spinnet.units import ParticleEnsemble, RbfUnit, SigmoidUnit
 
@@ -59,7 +58,7 @@ def test_flow_zero_weights_moves_only_c():
     dt = 1e-3
     e2 = langevin_step(e, t, None, dt, math.inf, stream(32, "step"))
     assert np.array_equal(e2.z, Z)
-    assert np.allclose(e2.c, dt * spin3_eval_rows(t, Z), rtol=0, atol=1e-18)
+    assert np.allclose(e2.c, dt * t.eval_rows(Z), rtol=0, atol=1e-18)
 
 
 def test_flow_planted_fixed_point_is_bitwise():
@@ -314,6 +313,17 @@ def test_zero_steps_returns_input_and_empty_series():
     assert np.array_equal(final.z, e0.z)
 
 
+def test_report_names_its_target_by_kind():
+    # the target entry of a report's meta, for both kinds of target
+    unit, planted, e0 = planted_one_atom(d=3)
+    cfg = TrainConfig(dt=1e-3, steps=2, dynamics="gd", init=InitSpec(c_law="zero"),
+                      master_seed=5)
+    for t, key in ((SpinTensor.sample(3, 23), {"kind": "spin3", "d": 3, "seed": 23}),
+                   (planted, {"kind": "planted", "atoms": 1})):
+        _, report = run_schedule(cfg, e0, t, DiagnosticPlan())
+        assert report.meta["target"] == key
+
+
 def test_quench_changepoint_is_recorded_exactly():
     d = 3
     unit = SigmoidUnit(d=d)
@@ -494,6 +504,83 @@ def test_tensor_of_another_d_is_refused_before_the_first_step(batch):
         for beta in (1e3, math.inf):
             with pytest.raises(DimensionMismatchError, match=msg):
                 langevin_step(e0, t, batch, 1e-3, beta, stream(53, "step"))
+
+
+def test_an_object_that_is_not_a_target_is_refused_before_the_first_step(monkeypatch):
+    # a callable and a string, exact flow and batch dynamics alike
+    steps = []
+    monkeypatch.setattr(dyn._Workspace, "apply", lambda self, *a, **k: steps.append(a))
+    unit = RbfUnit(alpha=1.0, d=5)
+    e0 = InitSpec(c_law="normal").sample(unit, 6, stream(54, "init"))
+    for bad in (lambda X: np.sum(X, axis=1), "not a target"):
+        for kind, sched in (("gd", ()), ("sgd", ((0, 8),))):
+            cfg = TrainConfig(dt=1e-3, steps=3, dynamics=kind, init=InitSpec(c_law="normal"),
+                              master_seed=54, batch_schedule=sched)
+            with pytest.raises(TypeError, match="cannot train on"):
+                run_schedule(cfg, e0, bad, DiagnosticPlan())
+        for batch, beta in ((None, math.inf), (8, math.inf), (8, 1e3)):
+            with pytest.raises(TypeError, match="cannot train on"):
+                langevin_step(e0, bad, batch, 1e-3, beta, stream(54, "step"))
+    assert steps == []
+
+
+def test_exact_step_at_beta_inf_builds_no_generator(monkeypatch):
+    # an exact step at beta = inf draws nothing, so it builds no generator;
+    # a batch or noise step builds one, and a bad rng is refused every time
+    unit = RbfUnit(alpha=1.0, d=5)
+    t = SpinTensor.sample(5, 55)
+    cfg = TrainConfig(dt=1e-3, steps=1, dynamics="gd", init=InitSpec(c_law="normal"),
+                      master_seed=55)
+    e0 = cfg.init.sample(unit, 12, stream(cfg.master_seed, "init"))
+    want, _ = run_schedule(cfg, e0, t, DiagnosticPlan())
+    built, generator = [], RngStream.generator
+    monkeypatch.setattr(RngStream, "generator", lambda s: built.append(s) or generator(s))
+    e1 = langevin_step(e0, t, None, cfg.dt, math.inf, stream(55, "step"))
+    assert built == []
+    assert np.array_equal(e1.c, want.c) and np.array_equal(e1.z, want.z)
+    for batch, beta in ((None, math.inf), (8, math.inf), (None, 1e3)):
+        with pytest.raises(TypeError, match="expected RngStream or numpy Generator"):
+            langevin_step(e0, t, batch, cfg.dt, beta, 12345)
+    assert built == []
+    for batch, beta in ((8, math.inf), (None, 1e3)):
+        langevin_step(e0, t, batch, cfg.dt, beta, stream(55, "step"))
+    assert len(built) == 2
+
+
+def _other_d_call(call, e, batch):
+    # batch has d = 4; e's unit has d = 5
+    if call == "run_schedule":
+        kind = "gd" if isinstance(e.unit, RbfUnit) else "sgd"
+        sched = () if kind == "gd" else ((0, 8),)
+        cfg = TrainConfig(dt=1e-3, steps=5, dynamics=kind, init=InitSpec(c_law="normal"),
+                          master_seed=56, batch_schedule=sched)
+        plan = DiagnosticPlan(probe_every=1000, eval_batch=batch)
+        return run_schedule(cfg, e, SpinTensor.sample(5, 56), plan, start_step=1)
+    return {
+        "network_eval_rows": lambda: units.network_eval_rows(e, batch.points),
+        "features": lambda: e.unit.features(batch.points, e.z),
+        "sgd_drift": lambda: sgd_drift(e, batch),
+        "empirical_loss": lambda: empirical_loss(e, batch),
+        "weighted_kernel_gram": lambda: units.weighted_kernel_gram(e, batch),
+        "tangent_kernel_gram": lambda: diag.tangent_kernel_gram(e, batch.points),
+    }[call]()
+
+
+@pytest.mark.parametrize("call", ["network_eval_rows", "features", "sgd_drift", "empirical_loss",
+                                  "weighted_kernel_gram", "tangent_kernel_gram", "run_schedule"])
+@pytest.mark.parametrize("unit", [RbfUnit(alpha=1.0, d=5), SigmoidUnit(d=5)],
+                         ids=["rbf", "sigmoid"])
+def test_points_of_another_d_are_refused_by_the_network_side(monkeypatch, unit, call):
+    # numpy's bare matmul ValueError before; run_schedule refuses its eval
+    # batch before the first step, not at its first probe
+    steps = []
+    monkeypatch.setattr(dyn._Workspace, "apply", lambda self, *a, **k: steps.append(a))
+    e = InitSpec(c_law="normal").sample(unit, 6, stream(56, "init"))
+    X = sample_sphere_rows(4, 8, stream(56, "x"))
+    batch = diag.Batch(points=X, target_values=np.ones(8))
+    with pytest.raises(geo.InvalidDimensionError, match="points have d = 4, unit d = 5"):
+        _other_d_call(call, e, batch)
+    assert steps == []
 
 
 @pytest.mark.parametrize(
@@ -744,7 +831,7 @@ def test_window_redraws_short_rows_as_the_per_step_sampler(monkeypatch):
                                  np.empty((P, d)), np.empty(P), np.empty((P, d)))
         X, y = ws.batch_at(k, P)
         assert np.array_equal(X, want)
-        assert np.array_equal(y, spin3_eval_rows(t, want))
+        assert np.array_equal(y, t.eval_rows(want))
         assert np.all(np.linalg.norm(want, axis=1) > 0)
 
 

@@ -13,8 +13,6 @@ from spinnet.targets import (
     SpinTensor,
     evaluate_target,
     jordan_sample,
-    spin3_eval_rows,
-    spin3_grad_rows,
     target_grad_rows,
 )
 from spinnet.units import RbfUnit, SigmoidUnit, network_eval_rows
@@ -60,20 +58,20 @@ def central_diff(fn, x, h=1e-5):
 def test_zero_tensor_evaluates_to_zero():
     t = SpinTensor(d=4, seed=0, a=np.zeros((4, 4, 4)))
     X = sample_sphere_rows(4, 8, stream(0, "pts"))
-    assert np.array_equal(spin3_eval_rows(t, X), np.zeros(8))
+    assert np.array_equal(t.eval_rows(X), np.zeros(8))
 
 
 def test_d1_single_entry():
     t = SpinTensor(d=1, seed=0, a=np.array([[[2.0]]]))
-    assert spin3_eval_rows(t, np.array([[1.0]]))[0] == 2.0
-    assert spin3_eval_rows(t, np.array([[-1.0]]))[0] == -2.0
+    assert t.eval_rows(np.array([[1.0]]))[0] == 2.0
+    assert t.eval_rows(np.array([[-1.0]]))[0] == -2.0
 
 
 def test_d2_all_ones_closed_form():
     # a = 1 everywhere: f(x) = (x1+x2)^3 / 2, so x = (sqrt(2), 0) gives sqrt(2)
     t = SpinTensor(d=2, seed=0, a=np.ones((2, 2, 2)))
     x = np.array([np.sqrt(2.0), 0.0])
-    got = spin3_eval_rows(t, x[None])[0]
+    got = t.eval_rows(x[None])[0]
     assert abs(got - np.sqrt(2.0)) < 1e-14
     assert abs(got - spin3_naive(t.a, x)) < 1e-14
 
@@ -82,7 +80,7 @@ def test_d2_all_ones_closed_form():
 def test_eval_matches_triple_loop(d):
     t = SpinTensor.sample(d, 100 + d)
     X = sample_sphere_rows(d, 6, stream(1, "loop", d))
-    got = spin3_eval_rows(t, X)
+    got = t.eval_rows(X)
     want = np.array([spin3_naive(t.a, x) for x in X])
     assert np.max(np.abs(got - want)) < 1e-13 * max(1.0, np.max(np.abs(want)))
 
@@ -96,21 +94,21 @@ def test_eval_of_a_slice_is_the_slice_of_the_eval_bitwise(d):
     block = targets._spin3_scratch(d, 1 << 20)[0].shape[0] // targets._SLAB * targets._SLAB
     n = 2 * block + 7
     X = sample_sphere_rows(d, n, stream(5, "slice"))
-    whole = spin3_eval_rows(t, X)
+    whole = t.eval_rows(X)
     for lo, hi in [(3, 4), (3, 10), (block - 21, block + 9), (n - 7, n), (n - 40, n)]:
-        assert np.array_equal(spin3_eval_rows(t, X[lo:hi]), whole[lo:hi]), (lo, hi)
+        assert np.array_equal(t.eval_rows(X[lo:hi]), whole[lo:hi]), (lo, hi)
 
 
 def test_eval_is_exactly_odd():
     t = SpinTensor.sample(7, 42)
     X = sample_sphere_rows(7, 32, stream(2, "odd"))
-    assert np.array_equal(spin3_eval_rows(t, -X), -spin3_eval_rows(t, X))
+    assert np.array_equal(t.eval_rows(-X), -t.eval_rows(X))
 
 
 def test_eval_dimension_mismatch():
     t = SpinTensor.sample(3, 0)
     with pytest.raises(DimensionMismatchError):
-        spin3_eval_rows(t, np.ones((1, 4)))
+        t.eval_rows(np.ones((1, 4)))
 
 
 def test_tensor_validation():
@@ -132,13 +130,13 @@ def test_tensor_roundtrip_is_bitwise():
 
 def test_grad_zero_tensor():
     t = SpinTensor(d=3, seed=0, a=np.zeros((3, 3, 3)))
-    assert np.array_equal(spin3_grad_rows(t, np.ones((1, 3)))[0], np.zeros(3))
+    assert np.array_equal(t.grad_rows(np.ones((1, 3)))[0], np.zeros(3))
 
 
 def test_grad_d2_all_ones():
     # symmetrized sum: each component (1/2) * 3 * (z1+z2)^2 = 6 at z = (1,1)
     t = SpinTensor(d=2, seed=0, a=np.ones((2, 2, 2)))
-    g = spin3_grad_rows(t, np.array([[1.0, 1.0]]))[0]
+    g = t.grad_rows(np.array([[1.0, 1.0]]))[0]
     assert np.allclose(g, [6.0, 6.0], rtol=0, atol=1e-13)
 
 
@@ -146,7 +144,7 @@ def test_grad_d2_all_ones():
 def test_grad_matches_symmetrized_loop(d):
     t = SpinTensor.sample(d, 55 + d)
     Z = sample_sphere_rows(d, 5, stream(3, "gloop", d))
-    got = spin3_grad_rows(t, Z)
+    got = t.grad_rows(Z)
     want = np.array([spin3_grad_naive(t.a, z) for z in Z])
     assert np.max(np.abs(got - want)) < 1e-13 * max(1.0, np.max(np.abs(want)))
 
@@ -155,8 +153,8 @@ def test_grad_matches_finite_differences_d10():
     t = SpinTensor.sample(10, 7)
     Z = sample_sphere_rows(10, 5, stream(4, "fd"))
     for z in Z:
-        got = spin3_grad_rows(t, z[None])[0]
-        want = central_diff(lambda x: spin3_eval_rows(t, x[None])[0], z)
+        got = t.grad_rows(z[None])[0]
+        want = central_diff(lambda x: t.eval_rows(x[None])[0], z)
         rel = np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
         assert rel < 1e-6
 
@@ -169,8 +167,8 @@ def test_grad_walks_cache_sized_blocks():
     t = SpinTensor.sample(d, 9)
     Z = sample_sphere_rows(d, n, stream(5, "gblocks"))
     rows = 52
-    want = np.concatenate([spin3_grad_rows(t, Z[lo : lo + rows]) for lo in range(0, n, rows)])
-    assert np.array_equal(spin3_grad_rows(t, Z), want)
+    want = np.concatenate([t.grad_rows(Z[lo : lo + rows]) for lo in range(0, n, rows)])
+    assert np.array_equal(t.grad_rows(Z), want)
 
 
 # -- planted targets ----------------------------------------------------------
@@ -306,7 +304,7 @@ def test_jordan_rejects_zero_mass():
 def test_evaluate_target_dispatch():
     t = SpinTensor.sample(3, 1)
     X = sample_sphere_rows(3, 4, stream(15, "x"))
-    assert np.array_equal(evaluate_target(t, X), spin3_eval_rows(t, X))
+    assert np.array_equal(evaluate_target(t, X), t.eval_rows(X))
     fn = lambda pts: np.sum(pts, axis=1)
     for bad in (fn, "not a target"):
         with pytest.raises(TypeError):
