@@ -266,7 +266,7 @@ class _Workspace:
     the batches of consecutive steps and their target values, batch_at()
     returns one of them, and batch_drift() writes the SGD drift of a batch
     of up to `batch` points into dc and dZ.  Target values and gradients
-    come from the target's own _values_into / _grads_into on the
+    come from the target's own _values_into / _values_grads_into on the
     workspace's _spin3_scratch buffers, whatever kind of target it is.
     Every kernel is walked in blocks of _EVAL_BLOCK_ENTRIES entries.
     """
@@ -276,7 +276,7 @@ class _Workspace:
         n, p = Z.shape
         self.unit, self.n = unit, n
         self.c, self.Z = c.copy(), Z.copy()
-        self.c_col = self.c[:, None]
+        self.c_col, self.z_flat = self.c[:, None], self.Z.reshape(-1)
         self.inc_c, self.xi_c = np.empty(n), np.empty(n)
         self.tmp, self.xi_z = np.empty((n, p)), np.empty((n, p))
         if unit.constrained:
@@ -306,8 +306,7 @@ class _Workspace:
     def flow_drift(self, target):
         """Pair-loss descent drift (dc, dZ) at the current state."""
         c, Z, n, alpha = self.c, self.Z, self.n, self.unit.alpha
-        target._values_into(Z, self.fz, self.s3, n)
-        target._grads_into(Z, self.gradf, self.s3)
+        target._values_grads_into(Z, self.fz, self.gradf, self.s3)
         # g_i = sum_j c_j phihat(z_i, z_j), gcz_i = sum_j c_j phihat(z_i, z_j) z_j
         np.multiply(self.c_col, Z, out=self.cZ)
         # a separate buffer for Z^T sends Z @ Z^T to gemm; numpy picks the
@@ -406,12 +405,14 @@ class _Workspace:
                 _tangent_project_into(V, Z, zz, U, self.coef, tmp)
             U += Z
             nrm = np.sqrt(_sq_norms_into(U, self.nrm, tmp), out=self.nrm)
-            if not (np.isfinite(nrm).all() and nrm.all()):
+            if not (0.0 < nrm.min() and nrm.max() < math.inf):  # a NaN fails too
                 # norm 0 (the drift cancels the position) or not representable
                 # (overflow after a diverging step): the particle left the
                 # manifold for good
                 raise StepFailure(step, _first((nrm == 0.0) | ~np.isfinite(nrm)), "position")
             _retract_into(U, nrm, self.unit.radius, Z, self.scale)
+        if math.isfinite(np.dot(c, c) + np.dot(self.z_flat, self.z_flat)):
+            return  # every entry is finite; a sum that overflows is checked entry by entry
         if not np.isfinite(c).all():
             raise StepFailure(step, _first(~np.isfinite(c)), "weight")
         if not np.isfinite(Z).all():

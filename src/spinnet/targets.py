@@ -4,6 +4,8 @@ A 3-spin target is f(x) = (1/d) sum_{pqr} a_pqr x_p x_q x_r with a dense,
 unsymmetrized coefficient tensor of i.i.d. standard normals.  The tensor is
 keyed by (d, realization seed) and is reconstructed from that key on load,
 so realizations can be pinned across runs without shipping d^3 floats.
+f is a homogeneous cubic, so f(x) = x . grad f(x) / 3 (Euler's identity):
+one pass of one kernel gives a row's gradient and, from it, its value.
 
 A planted target is a finite signed mixture of units, f(x) = sum_k w_k
 phihat(x, z_k); it gives initializations and fixed points with known
@@ -47,7 +49,8 @@ class _Target:
     writes report_key() (the target entry of a run's metadata) and the
     unchecked _values_into(X, out, scratch, P) / _grads_into(Z, out,
     scratch), which write into caller buffers; scratch is
-    _spin3_scratch(d, len(X)) and X holds batches of P rows."""
+    _spin3_scratch(d, len(X)) and X holds batches of P rows.
+    _values_grads_into(Z, fz, gradf, scratch) writes both at once."""
 
     def eval_rows(self, X: np.ndarray) -> np.ndarray:
         """Target values at the rows of X, evaluated as one batch."""
@@ -60,6 +63,12 @@ class _Target:
         Z = _points_of_d(Z, self.d, self._name)
         return self._grads_into(Z, np.empty(Z.shape), _spin3_scratch(self.d, Z.shape[0]))
 
+    def _values_grads_into(self, Z, fz, gradf, scratch) -> None:
+        """fz = values and gradf = gradient rows at Z, as eval_rows(Z) and
+        grad_rows(Z) give them."""
+        self._values_into(Z, fz, scratch, max(Z.shape[0], 1))
+        self._grads_into(Z, gradf, scratch)
+
 
 @dataclass(eq=False)
 class SpinTensor(_Target):
@@ -68,7 +77,7 @@ class SpinTensor(_Target):
     d: int
     seed: int
     a: np.ndarray
-    _sym_qpr: np.ndarray | None = field(default=None, init=False, repr=False)
+    _sym_pqr: np.ndarray | None = field(default=None, init=False, repr=False)
 
     _name = "tensor"
     # each value depends on its own row alone, so a batch may be cut anywhere
@@ -92,21 +101,24 @@ class SpinTensor(_Target):
         return cls(d=d, seed=seed, a=gen.standard_normal((d, d, d)))
 
     def _grad_matrix(self) -> np.ndarray:
-        """The symmetrized tensor a_pqr + a_rpq + a_qrp laid out as a
-        (q, p r) matrix, cached for the gradient."""
-        if self._sym_qpr is None:
+        """G_pqr = a_pqr + a_prq + a_rpq laid out as a (p, qr) matrix,
+        cached: sum_pq x_p x_q G_pqr = d df/dx_r."""
+        if self._sym_pqr is None:
             a, d = self.a, self.d
-            sym = a + a.transpose((1, 2, 0)) + a.transpose((2, 0, 1))
-            self._sym_qpr = sym.transpose((1, 0, 2)).reshape(d, d * d)
-        return self._sym_qpr
+            sym = a + a.transpose((0, 2, 1)) + a.transpose((1, 2, 0))
+            self._sym_pqr = sym.reshape(d, d * d)
+        return self._sym_pqr
 
     def _values_into(self, X, out, scratch, P):
         """out = f(x) = (1/d) sum_{pqr} a_pqr x_p x_q x_r for each row of X."""
-        return _spin3_eval_into(self, X, out, *scratch)
+        return _spin3_into(self, X, out, None, *scratch)
 
     def _grads_into(self, Z, out, scratch):
-        """out = (1/d) sum_{qr} (a_pqr + a_rpq + a_qrp) z_q z_r for each row of Z."""
-        return _spin3_grad_into(self, Z, out, scratch[0])
+        """out = (1/d) sum_{pq} (a_pqr + a_prq + a_rpq) z_p z_q for each row of Z."""
+        return _spin3_into(self, Z, None, out, *scratch)
+
+    def _values_grads_into(self, Z, fz, gradf, scratch) -> None:
+        _spin3_into(self, Z, fz, gradf, *scratch)
 
     def to_dict(self) -> dict:
         return {"kind": "spin3", "d": self.d, "seed": self.seed}
@@ -126,62 +138,55 @@ class SpinTensor(_Target):
         return cls.sample(blob["d"], blob["seed"])
 
 
-# rows of every gemm in the first contraction of the 3-spin evaluation
+# rows of every gemm in the first contraction of the 3-spin kernel
 _SLAB = 16
 
 
 def _spin3_scratch(d: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m1, m2, pad) scratch of _spin3_eval_into for calls of up to rows
-    rows; m1 is also the scratch of _spin3_grad_into.  A (k, d^2) block of
-    m1 holds about _EVAL_BLOCK_ENTRIES entries and stays in a core's cache."""
+    """(m1, m2, pad) scratch of _spin3_into for calls of up to rows rows.
+    A (k, d^2) block of m1 holds about _EVAL_BLOCK_ENTRIES entries and
+    stays in a core's cache."""
     k = max(_SLAB, min(rows, _eval_block_rows(d * d)))
     return np.empty((k, d * d)), np.empty((k, 1, d)), np.empty((_SLAB, d))
 
 
-def _spin3_eval_into(t: SpinTensor, X: np.ndarray, out: np.ndarray, m1: np.ndarray,
-                     m2: np.ndarray, pad: np.ndarray) -> np.ndarray:
-    """out = f(X) row by row; (m1, m2, pad) is _spin3_scratch(d, len(X)).
+def _spin3_into(t: SpinTensor, X: np.ndarray, fx: np.ndarray | None, gradf: np.ndarray | None,
+                m1: np.ndarray, m2: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """fx = f(X) and gradf = grad f(X) row by row, either of them None;
+    (m1, m2, pad) is _spin3_scratch(d, len(X)) and gradf is a contiguous
+    (n, d) array.  Returns fx, or gradf when fx is None.
 
-    The first contraction is a gemm whose rows can move in their last bits
-    with the number of rows it meets, so every gemm meets _SLAB rows: X is
-    walked in blocks of whole slabs, and a tail shorter than a slab goes
-    through zero-padded in pad.  The other steps work row by row, so each
-    row's value is the same wherever the row sits in X.
+    The first contraction, with t._grad_matrix(), is a gemm whose rows can
+    move in their last bits with the number of rows it meets, so every gemm
+    meets _SLAB rows: X is walked in blocks of whole slabs, and a tail
+    shorter than a slab goes through zero-padded in pad.  The second
+    contraction, row by row, gives m = d grad f(x), and the value is
+    x . m / (3d), so each row's value and gradient are the same wherever
+    the row sits in X and whichever of them is asked for.
     """
-    d = t.d
-    flat = t.a.reshape(d, d * d)
+    d, G = t.d, t._grad_matrix()
     block = m1.shape[0] // _SLAB * _SLAB
     for lo in range(0, X.shape[0], block):
         Xc = X[lo : lo + block]
         k = Xc.shape[0]
         whole = k - k % _SLAB
         if whole:  # sum over p, one gemm per slab
-            np.matmul(Xc[:whole].reshape(-1, _SLAB, d), flat,
+            np.matmul(Xc[:whole].reshape(-1, _SLAB, d), G,
                       out=m1[:whole].reshape(-1, _SLAB, d * d))
         if whole < k:
             pad[: k - whole] = Xc[whole:]
             pad[k - whole :] = 0.0
-            np.matmul(pad, flat, out=m1[whole : whole + _SLAB])
-        m = np.matmul(Xc[:, None, :], m1[:k].reshape(k, d, d), out=m2[:k])  # sum over q
-        m = m[:, 0, :]
-        m *= Xc
-        np.add.reduce(m, axis=1, out=out[lo : lo + k])                      # sum over r
-    out /= d
-    return out
-
-
-def _spin3_grad_into(t: SpinTensor, Z: np.ndarray, out: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """out = gradient rows at Z, in blocks of m1's rows; out is a
-    contiguous (n, d) array and m1 is _spin3_scratch(d, n)[0]."""
-    n, d = Z.shape
-    rows = m1.shape[0]
-    for lo in range(0, n, rows):
-        Zb = Z[lo : lo + rows]
-        k = Zb.shape[0]
-        T = np.matmul(Zb, t._grad_matrix(), out=m1[:k]).reshape(k, d, d)  # sum over q
-        np.matmul(T, Zb[:, :, None], out=out[lo : lo + k].reshape(k, d, 1))  # over r
-    out /= d
-    return out
+            np.matmul(pad, G, out=m1[whole : whole + _SLAB])
+        m = m2[:k] if gradf is None else gradf[lo : lo + k].reshape(k, 1, d)
+        np.matmul(Xc[:, None, :], m1[:k].reshape(k, d, d), out=m)  # sum over q
+        if fx is not None:
+            xm = np.multiply(m[:, 0], Xc, out=m2[:k, 0])
+            np.add.reduce(xm, axis=1, out=fx[lo : lo + k])          # sum over r
+    if gradf is not None:
+        gradf /= d
+    if fx is not None:
+        fx /= 3 * d
+    return gradf if fx is None else fx
 
 
 @dataclass(frozen=True)

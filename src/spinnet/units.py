@@ -18,6 +18,7 @@ input gradients) that targets, dynamics and diagnostics all share.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,7 @@ class RbfUnit:
 
     @property
     def radius(self) -> float:
-        return float(np.sqrt(self.d))
+        return math.sqrt(self.d)
 
     @property
     def constrained(self) -> bool:

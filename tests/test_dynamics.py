@@ -8,6 +8,7 @@ import pytest
 import spinnet.diagnostics as diag
 import spinnet.dynamics as dyn
 import spinnet.geometry as geo
+import spinnet.targets as targets
 import spinnet.units as units
 from spinnet.diagnostics import draw_batch, empirical_loss, signed_error_summary
 from spinnet.dynamics import (
@@ -59,6 +60,34 @@ def test_flow_zero_weights_moves_only_c():
     e2 = langevin_step(e, t, None, dt, math.inf, stream(32, "step"))
     assert np.array_equal(e2.z, Z)
     assert np.allclose(e2.c, dt * t.eval_rows(Z), rtol=0, atol=1e-18)
+
+
+def test_flow_drift_makes_one_spin3_pass_per_step(monkeypatch):
+    # the value and the gradient at the particles come from one call of
+    # the 3-spin kernel, for every state the exact flow visits
+    kernel, calls = targets._spin3_into, []
+    monkeypatch.setattr(targets, "_spin3_into",
+                        lambda t, X, fx, gradf, *a: calls.append((fx is None, gradf is None))
+                        or kernel(t, X, fx, gradf, *a))
+    d, n = 5, 16
+    unit = RbfUnit(alpha=1.0, d=d)
+    cfg = TrainConfig(dt=1e-3, steps=4, dynamics="gd", init=InitSpec(c_law="normal"),
+                      master_seed=41)
+    e0 = cfg.init.sample(unit, n, stream(41, "init"))
+    run_schedule(cfg, e0, SpinTensor.sample(d, 41), DiagnosticPlan())
+    assert calls == [(False, False)] * (cfg.steps + 1)
+
+
+@pytest.mark.parametrize("d", [2, 5, 10, 25])
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 100])
+def test_flow_drift_target_terms_are_the_one_shot_rows_bitwise(n, d):
+    t = SpinTensor.sample(d, 43)
+    unit = RbfUnit(alpha=0.2, d=d)
+    e = InitSpec(c_law="normal").sample(unit, n, stream(43 + d, "init", n))
+    ws = dyn._Workspace(unit, e.c, e.z, exact=True)
+    ws.flow_drift(t)
+    assert np.array_equal(ws.fz, t.eval_rows(e.z))
+    assert np.array_equal(ws.gradf, t.grad_rows(e.z))
 
 
 def test_flow_planted_fixed_point_is_bitwise():
@@ -605,6 +634,28 @@ def test_noisy_step_failure_is_pinned(kind, dt, seed, pinned):
     with np.errstate(all="ignore"), pytest.raises(StepFailure) as err:
         run_schedule(cfg, e0, t, DiagnosticPlan())
     assert (err.value.step, err.value.particle, err.value.what) == pinned
+
+
+@pytest.mark.parametrize("kind", ["rbf", "sigmoid"])
+def test_finite_state_whose_sum_of_squares_overflows_steps(kind):
+    # weights of 1e200 are finite, but their squares sum past DBL_MAX, so
+    # the update check falls back to the entry-by-entry test, which passes.
+    # Two particles at one position with opposite weights and unit features
+    # (alpha = 0, a saturated sigmoid) cancel exactly in every kernel sum,
+    # and a dt of 1e-200 keeps the position step on scale
+    d = 5
+    if kind == "rbf":
+        unit = RbfUnit(alpha=0.0, d=d)
+        z = unit.init_rows(1, stream(45, "z").generator())
+    else:
+        unit = SigmoidUnit(d=d)
+        z = np.array([[0.0] * d + [50.0]])
+    e = ParticleEnsemble(unit=unit, c=np.array([1e200, -1e200]), z=np.vstack([z, z]))
+    with np.errstate(over="ignore"):
+        e2 = langevin_step(e, SpinTensor.sample(d, 45), None if kind == "rbf" else 8,
+                           1e-200, math.inf, stream(45, "step"))
+        assert not np.isfinite(np.dot(e2.c, e2.c))
+    assert np.isfinite(e2.c).all() and np.isfinite(e2.z).all()
 
 
 def test_run_schedule_equals_repeated_flow_steps_bitwise():

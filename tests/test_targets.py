@@ -159,6 +159,16 @@ def test_grad_matches_finite_differences_d10():
         assert rel < 1e-6
 
 
+@pytest.mark.parametrize("d", [2, 5, 10, 25])
+def test_value_is_a_third_of_x_dot_grad(d):
+    # f is a homogeneous cubic, so Euler's identity x . grad f(x) = 3 f(x)
+    # holds; the one kernel reads the value off the gradient this way
+    t = SpinTensor.sample(d, 61 + d)
+    X = sample_sphere_rows(d, 50, stream(6, "euler", d))
+    want = t.eval_rows(X)
+    assert np.allclose(np.sum(X * t.grad_rows(X), 1) / 3, want, rtol=1e-13, atol=0)
+
+
 def test_grad_walks_cache_sized_blocks():
     # at d = 25 a block of the (rows, d^2) scratch holds 52 rows, so 130
     # rows walk two whole blocks and a short one, each computed as a one-shot

@@ -28,6 +28,15 @@ fresh interpreter with that tree first on PYTHONPATH and one BLAS thread:
 ``sgd-rbf-d5`` and ``rbf-d25`` run two n values, fewer than a scaling study
 accepts, so they set ``experiment=train``.
 
+The ``kernels`` job calls the kernels themselves rather than the CLI, since a
+shape the jobs above never run can hide a moved bit.  On fixed seeded points
+of the sphere it writes one file per kernel and shape holding the SHA-256 of
+the output bytes: ``SpinTensor.eval_rows``, ``SpinTensor.grad_rows`` and one
+exact-flow ``_Workspace.flow_drift`` (dc and dZ, alpha=0.2, normal weights)
+for d in {2, 5, 10, 25} and rows (points or particles) in {1, 15, 16, 17,
+300, 4096}.  A differing file names the kernel and shape that moved.  It
+takes about a second per tree.
+
 Every file a job writes (run CSVs, checkpoints, ``summary.json``,
 ``failures.json``) must exist on both sides with the same bytes, and the
 exit codes must agree.  ``config.cfg`` is skipped: it echoes ``--out``.
@@ -63,6 +72,28 @@ PRESETS = (
     ("sgd-d25", ("train", "--preset", "paper-sigmoid-d10", "--scale", "0.01",
                  "--set", "d=25", "--set", "n_list=5,64")),
 )
+KERNELS = """
+import hashlib, os, sys
+import numpy as np
+from spinnet.dynamics import _Workspace
+from spinnet.targets import SpinTensor
+from spinnet.units import RbfUnit
+
+out = sys.argv[sys.argv.index("--out") + 1]
+os.makedirs(out, exist_ok=True)
+for d in (2, 5, 10, 25):
+    t = SpinTensor.sample(d, 11)
+    for rows in (1, 15, 16, 17, 300, 4096):
+        g = np.random.default_rng([d, rows])
+        X = g.standard_normal((rows, d))
+        X *= np.sqrt(d) / np.linalg.norm(X, axis=1)[:, None]
+        ws = _Workspace(RbfUnit(alpha=0.2, d=d), g.standard_normal(rows), X, exact=True)
+        for name, arrays in (("eval", [t.eval_rows(X)]), ("grad", [t.grad_rows(X)]),
+                             ("flow_drift", ws.flow_drift(t))):
+            digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+            with open(os.path.join(out, f"{name}_d{d}_rows{rows}"), "w") as fh:
+                fh.write(digest + "\\n")
+"""
 SKIPPED = {"config.cfg"}
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -78,13 +109,14 @@ def benchmark_workloads() -> dict:
 
 
 def jobs() -> list:
-    """(name, CLI argv) of every job, in run order."""
+    """(name, interpreter argv before --out) of every job, in run order."""
     out = []
     for name, wl in benchmark_workloads().items():
         for seed in SEEDS:
             argv = list(wl.argv) + ["--seed", str(seed), "--threads", str(wl.threads)]
-            out.append((f"{name}-seed{seed}", argv))
-    out.extend((name, list(argv)) for name, argv in PRESETS)
+            out.append((f"{name}-seed{seed}", ["-m", "spinnet.cli", *argv]))
+    out.extend((name, ["-m", "spinnet.cli", *argv]) for name, argv in PRESETS)
+    out.append(("kernels", ["-c", KERNELS]))
     return out
 
 
@@ -93,7 +125,7 @@ def run_job(src: str, argv: list, out_dir: str) -> tuple[int, float]:
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "spinnet.cli", *argv, "--out", out_dir],
+        [sys.executable, *argv, "--out", out_dir],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     if proc.returncode != 0:
