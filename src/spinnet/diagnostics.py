@@ -40,7 +40,7 @@ from .units import (
 
 # rows per chunk of a streamed final evaluation, rounded down to whole
 # network blocks (at least one)
-_SPIN3_CHUNK = 4096
+_FINAL_EVAL_CHUNK = 4096
 
 
 class EmptyBatchError(ValueError):
@@ -181,7 +181,7 @@ def _sphere_batches_into(target, X: np.ndarray, y: np.ndarray, P: int, gen_at,
             _redraw_short_rows(X.shape[1], gen, X[rows], nrm[rows], tmp[rows])
     _scale_to_sphere(X, nrm)
     _check_on_sphere(X, nrm, tmp)
-    target._values_into(X, y, s3, P)
+    target._eval_into(X, y, None, s3, P)
     return True
 
 
@@ -191,14 +191,14 @@ def _sampled_loss(e: ParticleEnsemble, target, size: int, rng) -> float:
     in memory.
 
     The batch is drawn from the one generator and evaluated in chunks of
-    as many whole _eval_block_rows(n) network blocks as fit in _SPIN3_CHUNK
-    rows, at least one, so the network's partition, and with it the bits,
-    is that of the whole batch.  A row-local target (3-spin) is evaluated
-    chunk by chunk; any other (planted) is one product over the whole
-    batch, so its batch is one chunk.  The sampler redraws short rows only
-    once the whole batch is drawn, so a chunk with a row below the norm
-    floor replays the batch unstreamed from the generator state before the
-    first draw.
+    as many whole _eval_block_rows(n) network blocks as fit in
+    _FINAL_EVAL_CHUNK rows, at least one, so the network's partition, and
+    with it the bits, is that of the whole batch.  A row-local target
+    (3-spin) is evaluated chunk by chunk; any other (planted) is one product
+    over the whole batch, so its batch is one chunk.  The sampler redraws
+    short rows only once the whole batch is drawn, so a chunk with a row
+    below the norm floor replays the batch unstreamed from the generator
+    state before the first draw.
     """
     gen = generator_for(rng)
     if size < 1:
@@ -207,7 +207,7 @@ def _sampled_loss(e: ParticleEnsemble, target, size: int, rng) -> float:
     d = e.unit.d
     start = gen.bit_generator.state
     block = _eval_block_rows(e.n)
-    chunk = min(size, block * max(1, _SPIN3_CHUNK // block)) if target.row_local else size
+    chunk = min(size, block * max(1, _FINAL_EVAL_CHUNK // block)) if target.row_local else size
     X, tmp, nrm = np.empty((chunk, d)), np.empty((chunk, d)), np.empty(chunk)
     s3 = _spin3_scratch(d, chunk)
     r = np.empty(size)

@@ -260,19 +260,17 @@ class _Workspace:
     """State and scratch buffers of one run, allocated once.
 
     c and Z hold the current ensemble and are updated in place by apply().
-    flow_drift() writes the exact-flow drift of the current state into
-    dc and dZ (RBF ensembles only; exact=True allocates its buffers).
-    draw_window() fills a window of `window` rows (at least `batch`) with
-    the batches of consecutive steps and their target values, batch_at()
-    returns one of them, and batch_drift() writes the SGD drift of a batch
-    of up to `batch` points into dc and dZ.  Target values and gradients
-    come from the target's own _values_into / _values_grads_into on the
-    workspace's _spin3_scratch buffers, whatever kind of target it is.
-    Every kernel is walked in blocks of _EVAL_BLOCK_ENTRIES entries.
+    It has two modes.  exact=True: flow_drift() writes the exact-flow
+    drift of the current state into dc and dZ (RBF ensembles only), with
+    the target values and gradients at Z from one call of the target's
+    own _eval_into on the workspace's _spin3_scratch buffers, whatever
+    kind of target it is.  batch > 0: batch_drift() writes the SGD drift
+    of a given batch of up to `batch` points into dc and dZ; the batches
+    come from the caller (run_schedule's window, or draw_batch).  Every
+    kernel is walked in blocks of _EVAL_BLOCK_ENTRIES entries.
     """
 
-    def __init__(self, unit, c: np.ndarray, Z: np.ndarray, exact: bool = False,
-                 batch: int = 0, window: int = 0):
+    def __init__(self, unit, c: np.ndarray, Z: np.ndarray, exact: bool = False, batch: int = 0):
         n, p = Z.shape
         self.unit, self.n = unit, n
         self.c, self.Z = c.copy(), Z.copy()
@@ -294,11 +292,6 @@ class _Workspace:
             self.feat, self.WF, self.S = (np.empty((rows, n)) for _ in range(3))
             self.net = np.empty(rows)
             self.acc, self.gsum = np.empty((n, p)), np.empty((n, p))
-        if window > 0:
-            d = unit.d
-            self.X, self.xtmp = np.empty((window, d)), np.empty((window, d))
-            self.xn, self.y = np.empty(window), np.empty(window)
-            self.xs3 = _spin3_scratch(d, window)
 
     def ensemble(self) -> ParticleEnsemble:
         return ParticleEnsemble(unit=self.unit, c=self.c, z=self.Z)
@@ -306,7 +299,7 @@ class _Workspace:
     def flow_drift(self, target):
         """Pair-loss descent drift (dc, dZ) at the current state."""
         c, Z, n, alpha = self.c, self.Z, self.n, self.unit.alpha
-        target._values_grads_into(Z, self.fz, self.gradf, self.s3)
+        target._eval_into(Z, self.fz, self.gradf, self.s3, n)
         # g_i = sum_j c_j phihat(z_i, z_j), gcz_i = sum_j c_j phihat(z_i, z_j) z_j
         np.multiply(self.c_col, Z, out=self.cZ)
         # a separate buffer for Z^T sends Z @ Z^T to gemm; numpy picks the
@@ -322,18 +315,6 @@ class _Workspace:
         np.multiply(self.cn[:, None], self.gcz, out=self.tmp)
         np.subtract(dZ, self.tmp, out=dZ)
         return dc, dZ
-
-    def draw_window(self, target, P: int, count: int, gen_at) -> None:
-        """Fill the first count * P window rows with count batches of P
-        points, batch i from gen_at(i), and their target values."""
-        rows = P * count
-        _sphere_batches_into(target, self.X[:rows], self.y[:rows], P, gen_at,
-                             self.xn[:rows], self.xtmp[:rows], self.xs3)
-
-    def batch_at(self, i: int, P: int):
-        """(X, y): batch i of the last draw_window(..., P, ...) and its
-        target values, views of the workspace."""
-        return self.X[i * P : (i + 1) * P], self.y[i * P : (i + 1) * P]
 
     def batch_drift(self, X: np.ndarray, y: np.ndarray):
         """SGD drift (dc, dZ) of the batch (X, y) at the current state and
@@ -509,23 +490,30 @@ def run_schedule(
     if not (0 <= start_step <= cfg.steps):
         raise ScheduleError(f"start_step {start_step} outside [0, {cfg.steps}]")
     unit = e0.unit
-    exact_flow = cfg.dynamics == "gd" or (cfg.dynamics == "langevin" and not cfg.batch_schedule)
+    exact_flow = not cfg.batch_schedule
     if exact_flow and not isinstance(unit, RbfUnit):
         raise ScheduleError("batch-free dynamics requires an RBF ensemble")
     _check_target_d(target, unit)
     if plan.eval_batch is not None:
         _check_points(unit, plan.eval_batch.points)
-    n = e0.n
+    n, d = e0.n, unit.d
     P_max = max((P for _, P in cfg.batch_schedule), default=0)
-    window = max(P_max, _WINDOW_ENTRIES // unit.d) if P_max else 0
-    ws = _Workspace(unit, e0.c, e0.z, exact=exact_flow, batch=P_max, window=window)
+    ws = _Workspace(unit, e0.c, e0.z, exact=exact_flow, batch=P_max)
     c, Z = ws.c, ws.Z
+    if not exact_flow:
+        # the batch window: the points and target values of the batches of
+        # consecutive steps, and the sampler's scratch, allocated once
+        window = max(P_max, _WINDOW_ENTRIES // d)
+        X, xtmp = np.empty((window, d)), np.empty((window, d))
+        xn, y = np.empty(window), np.empty(window)
+        xs3 = _spin3_scratch(d, window)
     batch_streams = _StepStreams(cfg.master_seed, "batch")
     noise_streams = _StepStreams(cfg.master_seed, "noise")
     window_lo = window_hi = start_step
     beta = cfg.beta
     langevin = cfg.dynamics == "langevin"
-    lan_amp = noise_amplitude(beta, n) if langevin else 0.0
+    # Langevin's noise is one amplitude from step 0 on
+    noise_schedule = ((0, noise_amplitude(beta, n)),) if langevin else cfg.noise_schedule
     inv_beta_n = 0.0 if not langevin or math.isinf(beta) else 1.0 / (beta * n)
 
     rows: list[tuple] = []
@@ -541,10 +529,7 @@ def run_schedule(
 
     def probe(step: int) -> None:
         P_now = _active(cfg.batch_schedule, step, 0)
-        if langevin:
-            amp_now = lan_amp
-        else:
-            amp_now = _active(cfg.noise_schedule, step, 0.0)
+        amp_now = _active(noise_schedule, step, 0.0)
         if plan.eval_batch is not None:
             r = batch_residual(ws.ensemble(), plan.eval_batch)
             loss = residual_loss(r)
@@ -598,10 +583,12 @@ def run_schedule(
                 change = next((s for s, _ in cfg.batch_schedule if s > k), cfg.steps)
                 window_lo, window_hi = k, min(k + window // P, change, cfg.steps)
                 batch_streams.cover(window_lo, window_hi)
-                ws.draw_window(target, P, window_hi - k,
-                               lambda i: batch_streams.generator(window_lo + i))
-            X, y = ws.batch_at(k - window_lo, P)
-            dc, dZ, last_batch_loss = ws.batch_drift(X, y)
+                hi = P * (window_hi - k)
+                _sphere_batches_into(target, X[:hi], y[:hi], P,
+                                     lambda i: batch_streams.generator(window_lo + i),
+                                     xn[:hi], xtmp[:hi], xs3)
+            lo = (k - window_lo) * P
+            dc, dZ, last_batch_loss = ws.batch_drift(X[lo : lo + P], y[lo : lo + P])
 
         if langevin and inv_beta_n > 0.0:
             dc, dZ = _add_prior(inv_beta_n, dc, dZ, c, Z, unit)
@@ -614,11 +601,7 @@ def run_schedule(
             VV = np.multiply(V, V, out=ws.U)
             extras["flow_driftsq"][k - start_step] = float(np.dot(dc, dc) + np.sum(VV))
 
-        # noise amplitude this step
-        if langevin:
-            amp = lan_amp
-        else:
-            amp = _active(cfg.noise_schedule, k, 0.0)
+        amp = _active(noise_schedule, k, 0.0)
         noise = None
         if amp > 0.0:
             if not noise_streams.lo <= k < noise_streams.hi:

@@ -47,27 +47,23 @@ class _Target:
     (its word in error messages) and row_local (True when a batch's rows
     may be evaluated in pieces of any size without moving a bit), and
     writes report_key() (the target entry of a run's metadata) and the
-    unchecked _values_into(X, out, scratch, P) / _grads_into(Z, out,
-    scratch), which write into caller buffers; scratch is
-    _spin3_scratch(d, len(X)) and X holds batches of P rows.
-    _values_grads_into(Z, fz, gradf, scratch) writes both at once."""
+    unchecked _eval_into(X, fx, gradf, scratch, P), which writes the
+    values at the rows of X into fx and the gradient rows into gradf,
+    either of them None, and returns fx, or gradf when fx is None; scratch
+    is _spin3_scratch(d, len(X)) and X holds batches of P rows, each
+    valued as a one-shot evaluation of its rows."""
 
     def eval_rows(self, X: np.ndarray) -> np.ndarray:
         """Target values at the rows of X, evaluated as one batch."""
         X = _points_of_d(X, self.d, self._name)
         n = X.shape[0]
-        return self._values_into(X, np.empty(n), _spin3_scratch(self.d, n), max(n, 1))
+        return self._eval_into(X, np.empty(n), None, _spin3_scratch(self.d, n), max(n, 1))
 
     def grad_rows(self, Z: np.ndarray) -> np.ndarray:
         """Ambient input-space gradient rows at the rows of Z."""
         Z = _points_of_d(Z, self.d, self._name)
-        return self._grads_into(Z, np.empty(Z.shape), _spin3_scratch(self.d, Z.shape[0]))
-
-    def _values_grads_into(self, Z, fz, gradf, scratch) -> None:
-        """fz = values and gradf = gradient rows at Z, as eval_rows(Z) and
-        grad_rows(Z) give them."""
-        self._values_into(Z, fz, scratch, max(Z.shape[0], 1))
-        self._grads_into(Z, gradf, scratch)
+        n = Z.shape[0]
+        return self._eval_into(Z, None, np.empty(Z.shape), _spin3_scratch(self.d, n), max(n, 1))
 
 
 @dataclass(eq=False)
@@ -109,16 +105,43 @@ class SpinTensor(_Target):
             self._sym_pqr = sym.reshape(d, d * d)
         return self._sym_pqr
 
-    def _values_into(self, X, out, scratch, P):
-        """out = f(x) = (1/d) sum_{pqr} a_pqr x_p x_q x_r for each row of X."""
-        return _spin3_into(self, X, out, None, *scratch)
+    def _eval_into(self, X, fx, gradf, scratch, P):
+        """fx = f(X) and gradf = grad f(X) row by row; gradf is a
+        contiguous (n, d) array and P is not used, since every row is
+        evaluated alone.
 
-    def _grads_into(self, Z, out, scratch):
-        """out = (1/d) sum_{pq} (a_pqr + a_prq + a_rpq) z_p z_q for each row of Z."""
-        return _spin3_into(self, Z, None, out, *scratch)
-
-    def _values_grads_into(self, Z, fz, gradf, scratch) -> None:
-        _spin3_into(self, Z, fz, gradf, *scratch)
+        The first contraction, with _grad_matrix(), is a gemm whose rows
+        can move in their last bits with the number of rows it meets, so
+        every gemm meets _SLAB rows: X is walked in blocks of whole slabs,
+        and a tail shorter than a slab goes through zero-padded in pad.
+        The second contraction, row by row, gives m = d grad f(x), and the
+        value is x . m / (3d), so each row's value and gradient are the
+        same wherever the row sits in X and whichever of them is asked for.
+        """
+        d, G = self.d, self._grad_matrix()
+        m1, m2, pad = scratch
+        block = m1.shape[0] // _SLAB * _SLAB
+        for lo in range(0, X.shape[0], block):
+            Xc = X[lo : lo + block]
+            k = Xc.shape[0]
+            whole = k - k % _SLAB
+            if whole:  # sum over p, one gemm per slab
+                np.matmul(Xc[:whole].reshape(-1, _SLAB, d), G,
+                          out=m1[:whole].reshape(-1, _SLAB, d * d))
+            if whole < k:
+                pad[: k - whole] = Xc[whole:]
+                pad[k - whole :] = 0.0
+                np.matmul(pad, G, out=m1[whole : whole + _SLAB])
+            m = m2[:k] if gradf is None else gradf[lo : lo + k].reshape(k, 1, d)
+            np.matmul(Xc[:, None, :], m1[:k].reshape(k, d, d), out=m)  # sum over q
+            if fx is not None:
+                xm = np.multiply(m[:, 0], Xc, out=m2[:k, 0])
+                np.add.reduce(xm, axis=1, out=fx[lo : lo + k])          # sum over r
+        if gradf is not None:
+            gradf /= d
+        if fx is not None:
+            fx /= 3 * d
+        return gradf if fx is None else fx
 
     def to_dict(self) -> dict:
         return {"kind": "spin3", "d": self.d, "seed": self.seed}
@@ -143,50 +166,12 @@ _SLAB = 16
 
 
 def _spin3_scratch(d: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m1, m2, pad) scratch of _spin3_into for calls of up to rows rows.
-    A (k, d^2) block of m1 holds about _EVAL_BLOCK_ENTRIES entries and
-    stays in a core's cache."""
+    """(m1, m2, pad) scratch of SpinTensor._eval_into for calls of up to
+    rows rows, which every caller of _Target._eval_into passes, whatever
+    the kind of target.  A (k, d^2) block of m1 holds about
+    _EVAL_BLOCK_ENTRIES entries and stays in a core's cache."""
     k = max(_SLAB, min(rows, _eval_block_rows(d * d)))
     return np.empty((k, d * d)), np.empty((k, 1, d)), np.empty((_SLAB, d))
-
-
-def _spin3_into(t: SpinTensor, X: np.ndarray, fx: np.ndarray | None, gradf: np.ndarray | None,
-                m1: np.ndarray, m2: np.ndarray, pad: np.ndarray) -> np.ndarray:
-    """fx = f(X) and gradf = grad f(X) row by row, either of them None;
-    (m1, m2, pad) is _spin3_scratch(d, len(X)) and gradf is a contiguous
-    (n, d) array.  Returns fx, or gradf when fx is None.
-
-    The first contraction, with t._grad_matrix(), is a gemm whose rows can
-    move in their last bits with the number of rows it meets, so every gemm
-    meets _SLAB rows: X is walked in blocks of whole slabs, and a tail
-    shorter than a slab goes through zero-padded in pad.  The second
-    contraction, row by row, gives m = d grad f(x), and the value is
-    x . m / (3d), so each row's value and gradient are the same wherever
-    the row sits in X and whichever of them is asked for.
-    """
-    d, G = t.d, t._grad_matrix()
-    block = m1.shape[0] // _SLAB * _SLAB
-    for lo in range(0, X.shape[0], block):
-        Xc = X[lo : lo + block]
-        k = Xc.shape[0]
-        whole = k - k % _SLAB
-        if whole:  # sum over p, one gemm per slab
-            np.matmul(Xc[:whole].reshape(-1, _SLAB, d), G,
-                      out=m1[:whole].reshape(-1, _SLAB, d * d))
-        if whole < k:
-            pad[: k - whole] = Xc[whole:]
-            pad[k - whole :] = 0.0
-            np.matmul(pad, G, out=m1[whole : whole + _SLAB])
-        m = m2[:k] if gradf is None else gradf[lo : lo + k].reshape(k, 1, d)
-        np.matmul(Xc[:, None, :], m1[:k].reshape(k, d, d), out=m)  # sum over q
-        if fx is not None:
-            xm = np.multiply(m[:, 0], Xc, out=m2[:k, 0])
-            np.add.reduce(xm, axis=1, out=fx[lo : lo + k])          # sum over r
-    if gradf is not None:
-        gradf /= d
-    if fx is not None:
-        fx /= 3 * d
-    return gradf if fx is None else fx
 
 
 @dataclass(frozen=True)
@@ -234,18 +219,17 @@ class PlantedTarget(_Target):
     def report_key(self) -> dict:
         return {"kind": "planted", "atoms": int(self.weights.size)}
 
-    def _values_into(self, X, out, scratch, P):
-        """out = f(X), one product per batch of P rows; scratch is not used."""
-        for lo in range(0, X.shape[0], P):
-            out[lo : lo + P] = self.unit.features(X[lo : lo + P], self.locations) @ self.weights
-        return out
-
-    def _grads_into(self, Z, out, scratch):
-        """out = input-space gradient rows of the mixture; scratch is not used."""
-        out.fill(0.0)
-        for w, z in zip(self.weights, self.locations):
-            out += w * self.unit.grad_input(Z, z)
-        return out
+    def _eval_into(self, X, fx, gradf, scratch, P):
+        """fx = f(X), one product per batch of P rows, and gradf = the
+        input-space gradient rows of the mixture; scratch is not used."""
+        if fx is not None:
+            for lo in range(0, X.shape[0], P):
+                fx[lo : lo + P] = self.unit.features(X[lo : lo + P], self.locations) @ self.weights
+        if gradf is not None:
+            gradf.fill(0.0)
+            for w, z in zip(self.weights, self.locations):
+                gradf += w * self.unit.grad_input(X, z)
+        return gradf if fx is None else fx
 
 
 def jordan_sample(p: PlantedTarget, n: int, rng):

@@ -198,11 +198,11 @@ def test_sampled_loss_cuts_the_batch_where_the_whole_batch_is_cut(monkeypatch, n
     # it in a block of another row count, which a mean can hide; calls of
     # whole network blocks keep the partition.  A 3-spin value depends on
     # its own row alone, so the 3-spin calls need only cover the batch
-    net, spin = diag.network_eval_rows, targets._spin3_into
+    net, spin = diag.network_eval_rows, targets.SpinTensor._eval_into
     net_rows, spin_rows = [], []
     monkeypatch.setattr(diag, "network_eval_rows",
                         lambda e, X: net_rows.append(len(X)) or net(e, X))
-    monkeypatch.setattr(targets, "_spin3_into",
+    monkeypatch.setattr(targets.SpinTensor, "_eval_into",
                         lambda t, X, *a: spin_rows.append(len(X)) or spin(t, X, *a))
     e = InitSpec(c_law="normal").sample(SigmoidUnit(d=5), n, stream(1, "init", n))
     diag._sampled_loss(e, SpinTensor.sample(5, 7), size, stream(3, "big"))

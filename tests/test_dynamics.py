@@ -65,8 +65,8 @@ def test_flow_zero_weights_moves_only_c():
 def test_flow_drift_makes_one_spin3_pass_per_step(monkeypatch):
     # the value and the gradient at the particles come from one call of
     # the 3-spin kernel, for every state the exact flow visits
-    kernel, calls = targets._spin3_into, []
-    monkeypatch.setattr(targets, "_spin3_into",
+    kernel, calls = targets.SpinTensor._eval_into, []
+    monkeypatch.setattr(targets.SpinTensor, "_eval_into",
                         lambda t, X, fx, gradf, *a: calls.append((fx is None, gradf is None))
                         or kernel(t, X, fx, gradf, *a))
     d, n = 5, 16
@@ -870,17 +870,17 @@ def test_window_redraws_short_rows_as_the_per_step_sampler(monkeypatch):
     # with the norm floor at 2, about 45% of 5-d Gaussian rows are redrawn
     monkeypatch.setattr(geo, "_NORM_FLOOR", 2.0)
     d, P, count, seed = 5, 12, 7, 83
-    unit = SigmoidUnit(d=d)
     t = SpinTensor.sample(d, seed)
-    e = InitSpec(c_law="normal").sample(unit, 4, stream(seed, "init"))
-    ws = dyn._Workspace(unit, e.c, e.z, batch=P, window=P * count)
+    rows = P * count
+    Xw, yw = np.empty((rows, d)), np.empty(rows)
     streams = _StepStreams(seed, "batch")
     streams.cover(0, count)
-    ws.draw_window(t, P, count, streams.generator)
+    diag._sphere_batches_into(t, Xw, yw, P, streams.generator, np.empty(rows),
+                              np.empty((rows, d)), targets._spin3_scratch(d, rows))
     for k in range(count):
         want = _sphere_rows_into(d, stream(seed, "batch", k).generator(),
                                  np.empty((P, d)), np.empty(P), np.empty((P, d)))
-        X, y = ws.batch_at(k, P)
+        X, y = Xw[k * P : (k + 1) * P], yw[k * P : (k + 1) * P]
         assert np.array_equal(X, want)
         assert np.array_equal(y, t.eval_rows(want))
         assert np.all(np.linalg.norm(want, axis=1) > 0)
@@ -901,12 +901,14 @@ def test_window_values_are_the_one_shot_batch_values(kind, d, P):
         t = PlantedTarget(unit=unit, weights=np.array([0.7, -1.2]), locations=locations)
     window = max(P, dyn._WINDOW_ENTRIES // d)
     count = window // P
-    ws = dyn._Workspace(unit, np.zeros(4), np.zeros((4, d + 1)), batch=P, window=window)
+    rows = P * count
+    Xw, yw = np.empty((rows, d)), np.empty(rows)
     streams = _StepStreams(5, "batch")
     streams.cover(0, count)
-    ws.draw_window(t, P, count, streams.generator)
+    diag._sphere_batches_into(t, Xw, yw, P, streams.generator, np.empty(rows),
+                              np.empty((rows, d)), targets._spin3_scratch(d, window))
     for k in range(count):
-        X, y = ws.batch_at(k, P)
+        X, y = Xw[k * P : (k + 1) * P], yw[k * P : (k + 1) * P]
         assert np.array_equal(y, evaluate_target(t, X.copy())), k
 
 

@@ -170,13 +170,14 @@ def test_value_is_a_third_of_x_dot_grad(d):
 
 
 def test_grad_walks_cache_sized_blocks():
-    # at d = 25 a block of the (rows, d^2) scratch holds 52 rows, so 130
-    # rows walk two whole blocks and a short one, each computed as a one-shot
-    # call on its own rows
+    # the kernel walks blocks of whole 16-row slabs of the (rows, d^2)
+    # scratch, 48 rows at d = 25, so 130 rows walk two whole blocks and a
+    # short one, each computed as a one-shot call on its own rows
     d, n = 25, 130
     t = SpinTensor.sample(d, 9)
     Z = sample_sphere_rows(d, n, stream(5, "gblocks"))
-    rows = 52
+    rows = targets._spin3_scratch(d, 1 << 20)[0].shape[0] // targets._SLAB * targets._SLAB
+    assert 2 * rows < n < 3 * rows
     want = np.concatenate([t.grad_rows(Z[lo : lo + rows]) for lo in range(0, n, rows)])
     assert np.array_equal(t.grad_rows(Z), want)
 

@@ -28,14 +28,26 @@ fresh interpreter with that tree first on PYTHONPATH and one BLAS thread:
 ``sgd-rbf-d5`` and ``rbf-d25`` run two n values, fewer than a scaling study
 accepts, so they set ``experiment=train``.
 
+``preset-rbf-d5`` is chaotic: its 2000 exact-flow steps from
+uniform(-1000, 1000) weights turn a last-bit change of the 3-spin values
+into an O(1) change of its result.  So it can tell that bits moved, but not
+by how much, and its output line says so; size the moves of a bit note
+only from jobs whose runs contract, such as the benchmark workloads.
+
 The ``kernels`` job calls the kernels themselves rather than the CLI, since a
 shape the jobs above never run can hide a moved bit.  On fixed seeded points
 of the sphere it writes one file per kernel and shape holding the SHA-256 of
 the output bytes: ``SpinTensor.eval_rows``, ``SpinTensor.grad_rows`` and one
 exact-flow ``_Workspace.flow_drift`` (dc and dZ, alpha=0.2, normal weights)
 for d in {2, 5, 10, 25} and rows (points or particles) in {1, 15, 16, 17,
-300, 4096}.  A differing file names the kernel and shape that moved.  It
-takes about a second per tree.
+300, 4096}.  For a 3-spin tensor and a 2-atom planted target at d in {5,
+25}, on sigmoid ensembles of normal weights, it also hashes the streamed
+final evaluation ``diagnostics._sampled_loss`` at n in {1, 16, 300} and
+size in {1, 17, 4097}, and the final state of a 40-step SGD
+``run_schedule`` (n=16) whose batch size goes from P to P^2 at step 20, for
+P in {1, 12, 53}, with ``dynamics._WINDOW_ENTRIES`` set to 64 so that
+batch windows also end inside a run of one batch size.  A differing file
+names the kernel and shape that moved.  It takes about a second per tree.
 
 Every file a job writes (run CSVs, checkpoints, ``summary.json``,
 ``failures.json``) must exist on both sides with the same bytes, and the
@@ -75,12 +87,21 @@ PRESETS = (
 KERNELS = """
 import hashlib, os, sys
 import numpy as np
-from spinnet.dynamics import _Workspace
-from spinnet.targets import SpinTensor
-from spinnet.units import RbfUnit
+import spinnet.dynamics as dyn
+from spinnet.diagnostics import _sampled_loss
+from spinnet.dynamics import DiagnosticPlan, InitSpec, TrainConfig, _Workspace, run_schedule
+from spinnet.rng import stream
+from spinnet.targets import PlantedTarget, SpinTensor
+from spinnet.units import RbfUnit, SigmoidUnit
 
 out = sys.argv[sys.argv.index("--out") + 1]
 os.makedirs(out, exist_ok=True)
+
+def write(name, arrays):
+    digest = hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in arrays)).hexdigest()
+    with open(os.path.join(out, name), "w") as fh:
+        fh.write(digest + "\\n")
+
 for d in (2, 5, 10, 25):
     t = SpinTensor.sample(d, 11)
     for rows in (1, 15, 16, 17, 300, 4096):
@@ -90,10 +111,29 @@ for d in (2, 5, 10, 25):
         ws = _Workspace(RbfUnit(alpha=0.2, d=d), g.standard_normal(rows), X, exact=True)
         for name, arrays in (("eval", [t.eval_rows(X)]), ("grad", [t.grad_rows(X)]),
                              ("flow_drift", ws.flow_drift(t))):
-            digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
-            with open(os.path.join(out, f"{name}_d{d}_rows{rows}"), "w") as fh:
-                fh.write(digest + "\\n")
+            write(f"{name}_d{d}_rows{rows}", arrays)
+
+dyn._WINDOW_ENTRIES = 64
+init = InitSpec(c_law="normal")
+for d in (5, 25):
+    unit = SigmoidUnit(d=d)
+    atoms = np.random.default_rng([d, 2]).standard_normal((2, d + 1))
+    for kind, t in (("spin", SpinTensor.sample(d, 11)),
+                    ("planted", PlantedTarget(unit=unit, weights=np.array([0.7, -1.2]),
+                                              locations=atoms))):
+        for n in (1, 16, 300):
+            e = init.sample(unit, n, stream(d, "init", n))
+            for size in (1, 17, 4097):
+                loss = _sampled_loss(e, t, size, stream(1000 * d + n, "big", size))
+                write(f"sampled_loss_{kind}_d{d}_n{n}_size{size}", [loss])
+        for P in (1, 12, 53):
+            cfg = TrainConfig(dt=0.05, steps=40, dynamics="sgd", init=init, master_seed=P,
+                              batch_schedule=((0, P), (20, P * P)))
+            e, _ = run_schedule(cfg, init.sample(unit, 16, stream(P, "init")), t, DiagnosticPlan())
+            write(f"sgd_{kind}_d{d}_P{P}", [e.c, e.z])
 """
+# jobs whose runs amplify a last-bit change to an O(1) change of the result
+CHAOTIC = {"preset-rbf-d5"}
 SKIPPED = {"config.cfg"}
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -180,7 +220,9 @@ def main(argv=None) -> int:
             bad += not ok
             print(f"{'same' if ok else 'DIFF'} {name}: {len(files[1])} files, "
                   f"exit {codes[0]}/{codes[1]}, {secs[0]:.1f}/{secs[1]:.1f} s"
-                  + (f", differ: {', '.join(differ)}" if differ else ""), flush=True)
+                  + (f", differ: {', '.join(differ)}" if differ else "")
+                  + (", chaotic: size moved bits from other jobs" if name in CHAOTIC else ""),
+                  flush=True)
     finally:
         if not args.work:
             shutil.rmtree(work, ignore_errors=True)
