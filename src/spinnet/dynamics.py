@@ -259,39 +259,50 @@ def _first(mask: np.ndarray) -> int:
 class _Workspace:
     """State and scratch buffers of one run, allocated once.
 
-    c and Z hold the current ensemble and are updated in place by apply().
-    It has two modes.  exact=True: flow_drift() writes the exact-flow
-    drift of the current state into dc and dZ (RBF ensembles only), with
-    the target values and gradients at Z from one call of the target's
-    own _eval_into on the workspace's _spin3_scratch buffers, whatever
-    kind of target it is.  batch > 0: batch_drift() writes the SGD drift
-    of a given batch of up to `batch` points into dc and dZ; the batches
-    come from the caller (run_schedule's window, or draw_batch).  Every
-    kernel is walked in blocks of _EVAL_BLOCK_ENTRIES entries.
+    c and Z hold the current ensemble and are updated in place by apply();
+    for an unconstrained unit they are the columns of one (n, p + 1) buffer
+    cz = [c | Z].  It has two modes.  exact=True: flow_drift() writes the
+    exact-flow drift of the current state into dc and dZ (RBF ensembles
+    only), with the target values and gradients at Z from one call of the
+    target's own _eval_into on the workspace's _spin3_scratch buffers,
+    whatever kind of target it is.  batch > 0: batch_drift() writes the SGD drift
+    of a given batch of up to `batch` points into dc and dZ, the columns of
+    one (n, p + 1) buffer D = [dc | dZ]; the batches come from the caller
+    (run_schedule's window, or draw_batch).  Every kernel is walked in
+    blocks of _EVAL_BLOCK_ENTRIES entries.
     """
 
     def __init__(self, unit, c: np.ndarray, Z: np.ndarray, exact: bool = False, batch: int = 0):
         n, p = Z.shape
         self.unit, self.n = unit, n
-        self.c, self.Z = c.copy(), Z.copy()
-        self.c_col, self.z_flat = self.c[:, None], self.Z.reshape(-1)
-        self.inc_c, self.xi_c = np.empty(n), np.empty(n)
-        self.tmp, self.xi_z = np.empty((n, p)), np.empty((n, p))
         if unit.constrained:
+            self.cz = None
+            self.c, self.Z = c.copy(), Z.copy()
+            self.z_flat = self.Z.reshape(-1)
             self.zz, self.coef, self.nrm, self.scale = (np.empty(n) for _ in range(4))
             self.V, self.U = np.empty((n, p)), np.empty((n, p))
-        if exact or batch > 0:
-            self.dc, self.dZ = np.empty(n), np.empty((n, p))
+        else:
+            self.cz = np.empty((n, p + 1))
+            self.c, self.Z = self.cz[:, 0], self.cz[:, 1:]
+            np.copyto(self.c, c)
+            np.copyto(self.Z, Z)
+            self.cz_flat = self.cz.reshape(-1)
+        self.c_col = self.c[:, None]
+        self.inc_c, self.xi_c = np.empty(n), np.empty(n)
+        self.tmp, self.xi_z = np.empty((n, p)), np.empty((n, p))
         if exact:
+            self.dc, self.dZ = np.empty(n), np.empty((n, p))
             self.s3 = _spin3_scratch(p, n)
             self.fz, self.g, self.cn = (np.empty(n) for _ in range(3))
             self.gradf, self.cZ, self.gcz = (np.empty((n, p)) for _ in range(3))
             self.ZT, self.F = np.empty((p, n)), np.empty((min(n, _eval_block_rows(n)), n))
         if batch > 0:
+            self.D, self.Dtmp = np.empty((n, p + 1)), np.empty((n, p + 1))
+            self.dc, self.dZ = self.D[:, 0], self.D[:, 1:]
             rows = min(batch, _eval_block_rows(n))
             self.feat, self.WF, self.S = (np.empty((rows, n)) for _ in range(3))
             self.net = np.empty(rows)
-            self.acc, self.gsum = np.empty((n, p)), np.empty((n, p))
+            self.gsum = np.empty((n, p))
 
     def ensemble(self) -> ParticleEnsemble:
         return ParticleEnsemble(unit=self.unit, c=self.c, z=self.Z)
@@ -316,34 +327,37 @@ class _Workspace:
         np.subtract(dZ, self.tmp, out=dZ)
         return dc, dZ
 
-    def batch_drift(self, X: np.ndarray, y: np.ndarray):
-        """SGD drift (dc, dZ) of the batch (X, y) at the current state and
-        the batch loss: residual-weighted feature averages."""
+    def batch_drift(self, XL: np.ndarray, y: np.ndarray, loss: bool = False):
+        """SGD drift (dc, dZ) at the current state of the batch of lifted
+        rows XL = unit._lift(X) and target values y, residual-weighted
+        feature averages, and the batch loss if loss is set, else NaN."""
         unit, c, Z, n = self.unit, self.c, self.Z, self.n
-        P = X.shape[0]
-        dc, acc = self.dc, self.acc
-        # every block, the first too, is added to zeroed sums, so a -0.0
-        # block sum comes out as +0.0
-        dc.fill(0.0)
-        acc.fill(0.0)
+        P = XL.shape[0]
+        dc, acc = self.dc, self.dZ
         ss = 0.0
         rows = self.feat.shape[0]
         for lo in range(0, P, rows):
-            Xb = X[lo : lo + rows]
+            Xb = XL[lo : lo + rows]
             k = Xb.shape[0]
             F = unit._features_into(Xb, Z.T, self.feat[:k], self.S[:k])
             # r = y - F c / n
             r = np.matmul(F, c, out=self.net[:k])
             r /= n
             np.subtract(y[lo : lo + rows], r, out=r)
-            dc += np.matmul(F.T, r, out=self.inc_c)
+            if loss:
+                ss += float(np.dot(r, r))
             WF = np.multiply(r[:, None], F, out=self.WF[:k])
-            acc += unit._grad_sum_into(Xb, WF, F, self.gsum, self.S[:k])
-            ss += float(np.dot(r, r))
-        dc /= P
-        acc /= P
-        np.multiply(self.c_col, acc, out=self.dZ)
-        return dc, self.dZ, 0.5 * ss / P
+            # the first block's sums go straight into dc and acc
+            if lo == 0:
+                np.matmul(F.T, r, out=dc)
+                unit._grad_sum_into(Xb, WF, F, acc, self.S[:k])
+            else:
+                dc += np.matmul(F.T, r, out=self.inc_c)
+                acc += unit._grad_sum_into(Xb, WF, F, self.gsum, self.S[:k])
+        # [dc | acc] / P, then dZ = c (acc / P)
+        self.D /= P
+        acc *= self.c_col
+        return dc, self.dZ, 0.5 * ss / P if loss else math.nan
 
     def flow_loss(self) -> float:
         """Pair loss of the state seen by the last flow_drift() call; valid
@@ -357,9 +371,11 @@ class _Workspace:
         noise is None or (amp, generator): both Gaussian increments, weights
         first, are drawn from the generator and scaled by amp sqrt(dt).
         Constrained units get a tangent-projected increment and a
-        retraction.  Raises StepFailure for a post-step norm that is zero or
-        not finite, then for a non-finite weight, then for a non-finite
-        position; the particle is located only then.
+        retraction; an unconstrained state handed the workspace's own batch
+        drift steps in one pass over cz and D.  Raises StepFailure for a
+        post-step norm that is zero or not finite, then for a non-finite
+        weight, then for a non-finite position; the particle is located
+        only then.
         """
         c, Z, tmp, inc_c = self.c, self.Z, self.tmp, self.inc_c
         if noise is not None:
@@ -367,13 +383,19 @@ class _Workspace:
             a = amp * math.sqrt(dt)
             gen.standard_normal(out=self.xi_c)
             gen.standard_normal(out=self.xi_z)
-        c += np.multiply(dc, dt, out=inc_c)
+        joint = self.cz is not None and dc is self.dc and dZ is self.dZ
+        if joint:
+            self.cz += np.multiply(self.D, dt, out=self.Dtmp)
+        else:
+            c += np.multiply(dc, dt, out=inc_c)
         if noise is not None:
             c += np.multiply(self.xi_c, a, out=inc_c)
-        if not self.unit.constrained:
-            Z += np.multiply(dZ, dt, out=tmp)
+        if self.cz is not None:
+            if not joint:
+                Z += np.multiply(dZ, dt, out=tmp)
             if noise is not None:
                 Z += np.multiply(self.xi_z, a, out=tmp)
+            ss = np.dot(self.cz_flat, self.cz_flat)
         else:
             V, U = self.V, self.U
             zz = _sq_norms_into(Z, self.zz, tmp)
@@ -392,7 +414,8 @@ class _Workspace:
                 # manifold for good
                 raise StepFailure(step, _first((nrm == 0.0) | ~np.isfinite(nrm)), "position")
             _retract_into(U, nrm, self.unit.radius, Z, self.scale)
-        if math.isfinite(np.dot(c, c) + np.dot(self.z_flat, self.z_flat)):
+            ss = np.dot(c, c) + np.dot(self.z_flat, self.z_flat)
+        if math.isfinite(ss):
             return  # every entry is finite; a sum that overflows is checked entry by entry
         if not np.isfinite(c).all():
             raise StepFailure(step, _first(~np.isfinite(c)), "weight")
@@ -414,7 +437,7 @@ def sgd_drift(e: ParticleEnsemble, batch: Batch):
     """(dc, dZ) ambient drift for a given batch (no step applied)."""
     _check_points(e.unit, batch.points)
     ws = _Workspace(e.unit, e.c, e.z, batch=batch.P)
-    dc, dZ, _ = ws.batch_drift(batch.points, batch.target_values)
+    dc, dZ, _ = ws.batch_drift(e.unit._lift(batch.points), batch.target_values)
     return dc, dZ
 
 
@@ -449,7 +472,7 @@ def langevin_step(
         dc, dZ = ws.flow_drift(target)
     else:
         batch = draw_batch(target, e.unit.d, batch_size, gen)
-        dc, dZ, _ = ws.batch_drift(batch.points, batch.target_values)
+        dc, dZ, _ = ws.batch_drift(e.unit._lift(batch.points), batch.target_values)
     if math.isinf(beta):
         ws.apply(dc, dZ, dt, 0)
     else:
@@ -501,10 +524,12 @@ def run_schedule(
     ws = _Workspace(unit, e0.c, e0.z, exact=exact_flow, batch=P_max)
     c, Z = ws.c, ws.Z
     if not exact_flow:
-        # the batch window: the points and target values of the batches of
-        # consecutive steps, and the sampler's scratch, allocated once
+        # the batch window: the points, their lifted rows and the target
+        # values of the batches of consecutive steps, and the sampler's
+        # scratch, allocated once
         window = max(P_max, _WINDOW_ENTRIES // d)
         X, xtmp = np.empty((window, d)), np.empty((window, d))
+        XL = unit._lift(X)  # X itself for an rbf unit
         xn, y = np.empty(window), np.empty(window)
         xs3 = _spin3_scratch(d, window)
     batch_streams = _StepStreams(cfg.master_seed, "batch")
@@ -526,6 +551,9 @@ def run_schedule(
         extras["flow_driftsq"] = np.empty(cfg.steps - start_step)
 
     last_batch_loss = math.nan
+
+    def probed(k: int) -> bool:
+        return k == 0 or (k > start_step and (k % plan.probe_every == 0 or k == cfg.steps))
 
     def probe(step: int) -> None:
         P_now = _active(cfg.batch_schedule, step, 0)
@@ -569,7 +597,7 @@ def run_schedule(
             dc, dZ = ws.flow_drift(target)
             if energy is not None:
                 energy[k - start_step] = ws.flow_loss()
-        if k == 0 or (k > start_step and (k % plan.probe_every == 0 or k == cfg.steps)):
+        if probed(k):
             probe(k)
         if k == last:
             break
@@ -587,8 +615,11 @@ def run_schedule(
                 _sphere_batches_into(target, X[:hi], y[:hi], P,
                                      lambda i: batch_streams.generator(window_lo + i),
                                      xn[:hi], xtmp[:hi], xs3)
+                unit._lift(X[:hi], XL[:hi])
             lo = (k - window_lo) * P
-            dc, dZ, last_batch_loss = ws.batch_drift(X[lo : lo + P], y[lo : lo + P])
+            # the batch loss is formed only for the probe of the next state
+            dc, dZ, last_batch_loss = ws.batch_drift(XL[lo : lo + P], y[lo : lo + P],
+                                                     probed(k + 1))
 
         if langevin and inv_beta_n > 0.0:
             dc, dZ = _add_prior(inv_beta_n, dc, dZ, c, Z, unit)

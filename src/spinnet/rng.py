@@ -19,11 +19,9 @@ _MASK128 = (1 << 128) - 1
 
 
 def _hash64(*parts: str) -> int:
-    h = hashlib.blake2b(digest_size=8)
-    for p in parts:
-        h.update(p.encode("utf-8"))
-        h.update(b"\x00")
-    return int.from_bytes(h.digest(), "little")
+    """The 64-bit blake2b digest of the parts, each followed by a NUL byte."""
+    key = ("\x00".join(parts) + "\x00").encode("utf-8")
+    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "little")
 
 
 def _stream_id(role: str, index: int) -> int:

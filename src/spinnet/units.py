@@ -14,7 +14,12 @@ implemented:
   R^{d+1} and h the logistic function, evaluated in the overflow-safe form.
 
 Units expose a small array-level interface (features, parameter gradients,
-input gradients) that targets, dynamics and diagnostics all share.
+input gradients) that targets, dynamics and diagnostics all share.  The
+private kernels take lifted input rows, _lift(X): an rbf unit's points
+themselves, a sigmoid unit's rows (x, 1), whose product with Z^T is a.x + b,
+so that a block's features and its gradient sum are one gemm each.  The
+lift goes block by block where the rows are many (network evaluation) and
+once per batch window in a run.
 """
 from __future__ import annotations
 
@@ -107,6 +112,10 @@ class RbfUnit:
                 f"rbf particle positions off the sphere by {dev:.3e} (relative tol 1e-10)"
             )
 
+    def _lift(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The kernel's input rows of the points X: X itself; out is not used."""
+        return X
+
     def _features_into(self, X: np.ndarray, ZT: np.ndarray, out: np.ndarray,
                        scratch: np.ndarray | None = None) -> np.ndarray:
         """out = exp(alpha X Z^T) for 2-d X and ZT = Z^T; scratch is not used."""
@@ -184,17 +193,24 @@ class SigmoidUnit:
         if not np.isfinite(Z).all():
             raise UnitMismatchError("sigmoid unit parameters must be finite")
 
-    def _features_into(self, X: np.ndarray, ZT: np.ndarray, out: np.ndarray,
+    def _lift(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The rows (x, 1) of the points X, in out, (P, d + 1), or in a new
+        array."""
+        XL = np.empty((X.shape[0], self.d + 1)) if out is None else out
+        XL[:, : self.d] = X
+        XL[:, self.d] = 1.0
+        return XL
+
+    def _features_into(self, XL: np.ndarray, ZT: np.ndarray, out: np.ndarray,
                        scratch: np.ndarray) -> np.ndarray:
-        """out = h(a.x + b) for 2-d X and ZT = Z^T; scratch has out's shape."""
-        U = np.matmul(X, ZT[: self.d], out=scratch)
-        U += ZT[self.d]
-        return _logistic_into(U, out)
+        """out = h(a.x + b) for lifted rows XL = _lift(X) and ZT = Z^T;
+        scratch has out's shape."""
+        return _logistic_into(np.matmul(XL, ZT, out=scratch), out)
 
     def features(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         X, Z = _check_points(self, np.atleast_2d(X)), np.atleast_2d(Z)
         shape = (X.shape[0], Z.shape[0])
-        return self._features_into(X, Z.T, np.empty(shape), np.empty(shape))
+        return self._features_into(self._lift(X), Z.T, np.empty(shape), np.empty(shape))
 
     def eval_one(self, x: np.ndarray, z: np.ndarray) -> float:
         u = float(np.dot(x, z[: self.d]) + z[self.d])
@@ -217,14 +233,13 @@ class SigmoidUnit:
         out[:, :, self.d] = D
         return out
 
-    def _grad_sum_into(self, X: np.ndarray, WF: np.ndarray, F: np.ndarray,
+    def _grad_sum_into(self, XL: np.ndarray, WF: np.ndarray, F: np.ndarray,
                        out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """out = rows sum_p WF[p,i] (1 - F[p,i]) (x_p, 1), given WF = W * F
-        with F the features of X; WF is overwritten, scratch has its shape."""
+        """out = rows sum_p WF[p,i] (1 - F[p,i]) (x_p, 1), given lifted rows
+        XL = _lift(X) and WF = W * F with F the features of X; WF is
+        overwritten, scratch has its shape."""
         WD = np.multiply(WF, np.subtract(1.0, F, out=scratch), out=WF)
-        np.matmul(WD.T, X, out=out[:, : self.d])
-        np.add.reduce(WD, axis=0, out=out[:, self.d])
-        return out
+        return np.matmul(WD.T, XL, out=out)
 
     def weighted_grad_sum(self, X, Z, W) -> np.ndarray:
         """(n, d + 1) rows sum_p W[p,i] * d/dz phihat(x_p, z_i)."""
@@ -251,7 +266,7 @@ def _weighted_grad_sum(unit, X, Z, W) -> np.ndarray:
     feats = unit.features(X, Z)
     WF = W * feats
     out = np.empty((WF.shape[1], unit.param_dim))
-    return unit._grad_sum_into(X, WF, feats, out, np.empty(WF.shape))
+    return unit._grad_sum_into(unit._lift(X), WF, feats, out, np.empty(WF.shape))
 
 
 def unit_from_dict(blob: dict):
@@ -335,19 +350,29 @@ def _eval_block_rows(n: int) -> int:
 
 
 def _kernel_sums_into(unit, X: np.ndarray, ZT: np.ndarray, rhs: tuple, outs: tuple,
-                      F: np.ndarray, S: np.ndarray | None = None) -> tuple:
+                      F: np.ndarray, S: np.ndarray | None = None,
+                      XL: np.ndarray | None = None) -> tuple:
     """outs[k] = features(X, Z) @ rhs[k], in row blocks of F.shape[0] rows.
 
     ZT is Z^T, (p, n), in the caller's layout: a contiguous copy and the
     view Z.T can give other last bits.  F and S (sigmoid units) are block
-    scratch."""
+    scratch.  X holds the points; a sigmoid unit lifts them into XL (S
+    given), whose row count may be below the block's: then the block's
+    features are formed in pieces of that many rows, and its sums still in
+    one call."""
     rows = F.shape[0]
     for lo in range(0, X.shape[0], rows):
         Xb = X[lo : lo + rows]
         k = Xb.shape[0]
-        Fb = unit._features_into(Xb, ZT, F[:k], None if S is None else S[:k])
+        if XL is None:
+            unit._features_into(Xb, ZT, F[:k], None if S is None else S[:k])
+        else:
+            for a in range(0, k, XL.shape[0]):
+                Xa = Xb[a : a + XL.shape[0]]
+                m = a + Xa.shape[0]
+                unit._features_into(unit._lift(Xa, XL[: m - a]), ZT, F[a:m], S[a:m])
         for out, R in zip(outs, rhs):
-            np.matmul(Fb, R, out=out[lo : lo + rows])
+            np.matmul(F[:k], R, out=out[lo : lo + k])
     return outs
 
 
@@ -357,7 +382,10 @@ def network_eval_rows(e: ParticleEnsemble, X: np.ndarray) -> np.ndarray:
     out = np.empty(X.shape[0])
     # at least one row: an empty walk still needs a block size
     F = np.empty((max(1, min(X.shape[0], _eval_block_rows(e.n))), e.n))
-    _kernel_sums_into(e.unit, X, e.z.T, (e.c,), (out,), F, np.empty_like(F))
+    # a sigmoid unit's lifted rows, cache-sized like F
+    p = e.unit.param_dim
+    XL = None if p == e.unit.d else np.empty((min(F.shape[0], _eval_block_rows(p)), p))
+    _kernel_sums_into(e.unit, X, e.z.T, (e.c,), (out,), F, np.empty_like(F), XL)
     return np.divide(out, e.n, out=out)
 
 

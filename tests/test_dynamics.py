@@ -189,19 +189,30 @@ def test_noise_amplitude_formula():
     assert noise_amplitude(math.inf, 3) == 0.0
 
 
-def test_beta_infinity_matches_sgd_bitwise():
+@pytest.mark.parametrize("entries", [None, 64], ids=["one-block", "two-blocks"])
+@pytest.mark.parametrize("unit", [SigmoidUnit(d=4), RbfUnit(alpha=1.0, d=4)],
+                         ids=["sigmoid", "rbf"])
+def test_beta_infinity_matches_sgd_bitwise(monkeypatch, unit, entries):
     # beta = inf is the plain Euler step on the SGD drift of a draw_batch
-    # batch from the same stream (unconstrained units: no retraction)
+    # batch from the same stream: z + dZ dt for unconstrained units, the
+    # retraction of z + (tangent part of dZ) dt on the sphere.  64-entry
+    # blocks walk the 16-point batch in two feature blocks of 8 rows
+    if entries is not None:
+        monkeypatch.setattr(units, "_EVAL_BLOCK_ENTRIES", entries)
     d, dt = 4, 1e-3
-    unit = SigmoidUnit(d=d)
     t = SpinTensor.sample(d, 17)
     gen = stream(38, "ens").generator()
-    e = ParticleEnsemble(unit=unit, c=gen.standard_normal(8),
-                         z=gen.standard_normal((8, d + 1)))
+    c = gen.standard_normal(8)
+    z = sample_sphere_rows(d, 8, gen) if unit.constrained else gen.standard_normal((8, d + 1))
+    e = ParticleEnsemble(unit=unit, c=c, z=z)
     dc, dZ = sgd_drift(e, draw_batch(t, d, 16, stream(38, "step")))
     b = langevin_step(e, t, 16, dt, math.inf, stream(38, "step").generator())
     assert np.array_equal(e.c + dc * dt, b.c)
-    assert np.array_equal(e.z + dZ * dt, b.z)
+    if unit.constrained:
+        step = geo.retract_rows(e.z + geo.tangent_project_rows(dZ, e.z) * dt, unit.radius)
+        assert np.array_equal(step, b.z)
+    else:
+        assert np.array_equal(e.z + dZ * dt, b.z)
 
 
 def test_gaussian_prior_gradients():
@@ -778,6 +789,24 @@ def test_sgd_resume_at_quench_step_is_bit_exact(unit):
     assert r_res.series["P"].tolist() == [40, 40, 40]
     tail = r_dir.series["step"] > 15
     assert np.array_equal(r_res.series["batch_loss"], r_dir.series["batch_loss"][tail])
+
+
+@pytest.mark.parametrize("unit", [RbfUnit(alpha=1.0, d=5), SigmoidUnit(d=5)],
+                         ids=["rbf", "sigmoid"])
+def test_batch_loss_column_does_not_depend_on_the_probe_rate(unit):
+    # a step forms its batch's loss only for the probe of the state it
+    # leads to; probing every state or every 7th one records the same bits
+    t = SpinTensor.sample(unit.d, 83)
+    cfg = _quench_cfg(30, seed=83)
+    e0 = cfg.init.sample(unit, 16, stream(83, "init"))
+    _, every = run_schedule(cfg, e0, t, DiagnosticPlan(probe_every=1))
+    _, sparse = run_schedule(cfg, e0, t, DiagnosticPlan(probe_every=7))
+    steps = sparse.series["step"]
+    assert steps.tolist() == [0, 7, 14, 21, 28, 30]
+    assert every.series["step"].tolist() == list(range(31))
+    loss = sparse.series["batch_loss"]
+    assert math.isnan(loss[0]) and np.isfinite(loss[1:]).all()
+    assert every.series["batch_loss"][steps].tobytes() == loss.tobytes()
 
 
 def test_sgd_drift_reads_the_batch_in_place_over_blocks(monkeypatch):

@@ -270,6 +270,20 @@ def test_network_is_the_blockwise_feature_sum_bitwise(unit):
     assert np.array_equal(network_eval_rows(e, X), want)
 
 
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_network_lifts_sigmoid_rows_in_pieces_bitwise(n):
+    # at n < d + 1 a feature block's lifted rows (x, 1) would outgrow it, so
+    # its features are formed in pieces of 2^15 // (d + 1) = 1260 rows at
+    # d = 25; the values are those of one feature product over the block
+    d = 25
+    unit = SigmoidUnit(d=d)
+    gen = stream(15, "pieces").generator()
+    e = ParticleEnsemble(unit=unit, c=gen.standard_normal(n), z=unit.init_rows(n, gen))
+    X = sample_sphere_rows(d, 4096, gen)
+    assert units._eval_block_rows(d + 1) < X.shape[0] <= units._eval_block_rows(n)
+    assert np.array_equal(network_eval_rows(e, X), unit.features(X, e.z) @ e.c / n)
+
+
 def test_network_chunking_is_invisible(monkeypatch):
     # different block sizes may reassociate the BLAS sums, so compare to a
     # tolerance rather than bitwise

@@ -49,11 +49,14 @@ P in {1, 12, 53}, with ``dynamics._WINDOW_ENTRIES`` set to 64 so that
 batch windows also end inside a run of one batch size.  A differing file
 names the kernel and shape that moved.  It takes about a second per tree.
 
-Every file a job writes (run CSVs, checkpoints, ``summary.json``,
-``failures.json``) must exist on both sides with the same bytes, and the
-exit codes must agree.  ``config.cfg`` is skipped: it echoes ``--out``.
-Prints one line per job and exits 0 when everything matches, 1 otherwise.
-Uses the standard library only.
+A job is ``same`` when both sides exit 0 and write at least one file, and
+every file it writes (run CSVs, checkpoints, ``summary.json``,
+``failures.json``) exists on both sides with the same bytes; ``config.cfg``
+is skipped: it echoes ``--out``.  A job
+that exits non-zero on both sides is ``FAIL``, whatever files it left, and
+any other job is ``DIFF``.  Prints one line per job and a count of each
+kind, and exits 0 when every job is ``same``, 1 otherwise.  Uses the
+standard library only.
 """
 from __future__ import annotations
 
@@ -203,7 +206,7 @@ def main(argv=None) -> int:
             sys.stderr.write(f"artifact_diff: no spinnet package under {src}\n")
             return 2
     work = args.work or tempfile.mkdtemp(prefix="artifact_diff_")
-    bad = total = 0
+    differ_jobs = failed = total = 0
     try:
         for name, job_argv in jobs():
             codes, secs, files = [], [], []
@@ -216,9 +219,15 @@ def main(argv=None) -> int:
                 files.append(artifacts(out_dir))
             differ = diff(*files)
             total += len(files[1])
-            ok = not differ and codes[0] == codes[1] and bool(files[0])
-            bad += not ok
-            print(f"{'same' if ok else 'DIFF'} {name}: {len(files[1])} files, "
+            if codes[0] and codes[1]:
+                status = "FAIL"
+                failed += 1
+            elif differ or codes[0] or codes[1] or not files[0]:
+                status = "DIFF"
+                differ_jobs += 1
+            else:
+                status = "same"
+            print(f"{status} {name}: {len(files[1])} files, "
                   f"exit {codes[0]}/{codes[1]}, {secs[0]:.1f}/{secs[1]:.1f} s"
                   + (f", differ: {', '.join(differ)}" if differ else "")
                   + (", chaotic: size moved bits from other jobs" if name in CHAOTIC else ""),
@@ -226,8 +235,8 @@ def main(argv=None) -> int:
     finally:
         if not args.work:
             shutil.rmtree(work, ignore_errors=True)
-    print(f"{total} files compared, {bad} job(s) differ")
-    return 1 if bad else 0
+    print(f"{total} files compared, {differ_jobs} job(s) differ, {failed} job(s) failed")
+    return 1 if differ_jobs or failed else 0
 
 
 if __name__ == "__main__":
