@@ -20,10 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    _FINAL_EVAL_CHUNK,
     InvalidDimensionError,
-    _redraw_short_rows,
+    _gaussian_rows_into,
     _scale_to_sphere,
     _short_rows,
+    _sphere_rows_into,
     _sq_norms_into,
     sample_sphere_rows,
 )
@@ -36,11 +38,6 @@ from .units import (
     _kernel_sums_into,
     network_eval_rows,
 )
-
-
-# rows per chunk of a streamed final evaluation, rounded down to whole
-# network blocks (at least one)
-_FINAL_EVAL_CHUNK = 4096
 
 
 class EmptyBatchError(ValueError):
@@ -129,9 +126,20 @@ def batch_residual(e: ParticleEnsemble, batch: Batch) -> np.ndarray:
     return batch.target_values - network_eval_rows(e, batch.points)
 
 
+def _add_squares(total: float, r: np.ndarray) -> float:
+    """total + sum_p r_p^2, the squares summed in pieces of
+    _FINAL_EVAL_CHUNK entries that are added to total left to right, so r
+    taken in pieces of whole chunks adds up to r taken at once."""
+    for lo in range(0, r.size, _FINAL_EVAL_CHUNK):
+        piece = r[lo : lo + _FINAL_EVAL_CHUNK]
+        total += float(np.add.reduce(piece * piece))
+    return total
+
+
 def residual_loss(r: np.ndarray) -> float:
-    """(1/2P) sum_p r_p^2 for a residual over P points."""
-    return float(0.5 * np.mean(r * r))
+    """(1/2P) sum_p r_p^2 for a residual over P points; for P <= 4096 this
+    is 0.5 * np.mean(r * r) bit for bit."""
+    return 0.5 * (_add_squares(0.0, r) / r.size)
 
 
 def residual_signed_split(r: np.ndarray, target_values: np.ndarray) -> tuple[float, float, float]:
@@ -157,15 +165,15 @@ def signed_error_summary(e: ParticleEnsemble, batch: Batch) -> tuple[float, floa
 
 
 def _sphere_batches_into(target, X: np.ndarray, y: np.ndarray, P: int, gen_at,
-                         nrm: np.ndarray, tmp: np.ndarray, s3: tuple) -> bool:
+                         nrm: np.ndarray, tmp: np.ndarray, s3: tuple) -> None:
     """Fill X with len(X) // P batches of P uniform points on
     S^{d-1}(sqrt(d)), batch i drawn from gen_at(i) as _sphere_rows_into
     draws it, and y with their target values, each batch's those of a
     one-shot evaluation of its rows; nrm, tmp and s3 are scratch.
 
-    For a batch with a short row, gen_at(i) is called again, the batch's
-    first draw replayed from it and its short rows redrawn; if that call
-    returns None, the result is False and X and y are unfinished.
+    For a batch with a short row, gen_at(i) is called again and the batch
+    drawn again from it by _gaussian_rows_into, which redraws its short
+    rows.
     """
     for lo in range(0, len(X), P):
         gen_at(lo // P).standard_normal(out=X[lo : lo + P])
@@ -174,54 +182,54 @@ def _sphere_batches_into(target, X: np.ndarray, y: np.ndarray, P: int, gen_at,
     if short.any():  # np.unique's first call imports about 1 MB
         for i in np.unique(np.flatnonzero(short) // P).tolist():
             rows = slice(i * P, (i + 1) * P)
-            gen = gen_at(i)
-            if gen is None:
-                return False
-            gen.standard_normal(out=X[rows])
-            _redraw_short_rows(X.shape[1], gen, X[rows], nrm[rows], tmp[rows])
+            _gaussian_rows_into(X.shape[1], gen_at(i), X[rows], nrm[rows], tmp[rows])
     _scale_to_sphere(X, nrm)
     _check_on_sphere(X, nrm, tmp)
     target._eval_into(X, y, None, s3, P)
-    return True
 
 
-def _sampled_loss(e: ParticleEnsemble, target, size: int, rng) -> float:
-    """empirical_loss(e, draw_batch(target, e.unit.d, size, rng)) bit for
-    bit, with only the (size,) residual and one chunk's points and scratch
-    in memory.
+def _checked_sphere_rows_into(gen, X: np.ndarray) -> None:
+    """Fill X with uniform points on S^{d-1}(sqrt(d)) drawn from gen as
+    _sphere_rows_into draws them, and check them as a Batch does; the
+    scratch lives only in this call."""
+    nrm, tmp = np.empty(X.shape[0]), np.empty(X.shape)
+    _sphere_rows_into(X.shape[1], gen, X, nrm, tmp)
+    _check_on_sphere(X, nrm, tmp)
 
-    The batch is drawn from the one generator and evaluated in chunks of
-    as many whole _eval_block_rows(n) network blocks as fit in
-    _FINAL_EVAL_CHUNK rows, at least one, so the network's partition, and
-    with it the bits, is that of the whole batch.  A row-local target
-    (3-spin) is evaluated chunk by chunk; any other (planted) is one product
-    over the whole batch, so its batch is one chunk.  The sampler redraws
-    short rows only once the whole batch is drawn, so a chunk with a row
-    below the norm floor replays the batch unstreamed from the generator
-    state before the first draw.
+
+def _sampled_loss(ensembles, target, size: int, rng) -> list:
+    """[empirical_loss(e, draw_batch(target, d, size, rng)) for e in
+    ensembles] bit for bit, from one draw of the batch, which is never
+    held whole.
+
+    The batch is taken in chunks of _FINAL_EVAL_CHUNK rows: each chunk is
+    drawn, checked and valued once, goes through every network, and adds
+    its squared residuals to one running sum per ensemble.  The sampler,
+    the network evaluation and residual_loss each follow their chunk rule,
+    so this equals the one-shot loss by construction.  A row-local target
+    (3-spin) is valued chunk by chunk; any other (planted) is one product
+    over the whole batch, so its batch is one chunk.  Each chunk's scratch
+    is allocated in turn, so the call holds one chunk's points and values
+    and the scratch of one step at a time.
     """
     gen = generator_for(rng)
     if size < 1:
         raise EmptyBatchError(f"batch size must be >= 1, got {size}")
-    _check_target_d(target, e.unit)
-    d = e.unit.d
-    start = gen.bit_generator.state
-    block = _eval_block_rows(e.n)
-    chunk = min(size, block * max(1, _FINAL_EVAL_CHUNK // block)) if target.row_local else size
-    X, tmp, nrm = np.empty((chunk, d)), np.empty((chunk, d)), np.empty(chunk)
-    s3 = _spin3_scratch(d, chunk)
-    r = np.empty(size)
+    for e in ensembles:
+        _check_target_d(target, e.unit)
+    if not ensembles:
+        return []
+    chunk = min(size, _FINAL_EVAL_CHUNK) if target.row_local else size
+    X, y = np.empty((chunk, target.d)), np.empty(chunk)
+    totals = [0.0] * len(ensembles)
     for lo in range(0, size, chunk):
         k = min(chunk, size - lo)
-        # one batch of k rows, whose generator answers a replay with None
-        if not _sphere_batches_into(target, X[:k], r[lo : lo + k], k,
-                                    lambda i, calls=iter((gen, None)): next(calls),
-                                    nrm[:k], tmp[:k], s3):
-            gen.bit_generator.state = start
-            return empirical_loss(e, draw_batch(target, d, size, gen))
-        r[lo : lo + k] -= network_eval_rows(e, X[:k])
-    r *= r
-    return float(0.5 * np.mean(r))
+        _checked_sphere_rows_into(gen, X[:k])
+        target._eval_into(X[:k], y[:k], None, _spin3_scratch(target.d, k), k)
+        for i, e in enumerate(ensembles):
+            r = network_eval_rows(e, X[:k])
+            totals[i] = _add_squares(totals[i], np.subtract(y[:k], r, out=r))
+    return [0.5 * (total / size) for total in totals]
 
 
 def rbf_pair_terms(e: ParticleEnsemble) -> tuple[np.ndarray, float]:
@@ -232,9 +240,10 @@ def rbf_pair_terms(e: ParticleEnsemble) -> tuple[np.ndarray, float]:
     """
     if not isinstance(e.unit, RbfUnit):
         raise InvalidDimensionError("pair loss is defined for RBF ensembles only")
-    # a contiguous Z^T, as the exact flow's drift uses
+    # a contiguous (alpha Z)^T, as the exact flow's drift uses
+    AZT = e.unit._kernel_params(e.z.T, np.empty((e.unit.d, e.n)))
     F = np.empty((min(e.n, _eval_block_rows(e.n)), e.n))
-    (g,) = _kernel_sums_into(e.unit, e.z, np.ascontiguousarray(e.z.T), (e.c,), (np.empty(e.n),), F)
+    (g,) = _kernel_sums_into(e.unit, e.z, AZT, (e.c,), (np.empty(e.n),), F)
     return g, float(np.dot(e.c, g))
 
 

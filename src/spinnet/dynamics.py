@@ -298,6 +298,7 @@ class _Workspace:
             self.ZT, self.F = np.empty((p, n)), np.empty((min(n, _eval_block_rows(n)), n))
         if batch > 0:
             self.D, self.Dtmp = np.empty((n, p + 1)), np.empty((n, p + 1))
+            self.AZ = np.empty((n, p))
             self.dc, self.dZ = self.D[:, 0], self.D[:, 1:]
             rows = min(batch, _eval_block_rows(n))
             self.feat, self.WF, self.S = (np.empty((rows, n)) for _ in range(3))
@@ -313,9 +314,9 @@ class _Workspace:
         target._eval_into(Z, self.fz, self.gradf, self.s3, n)
         # g_i = sum_j c_j phihat(z_i, z_j), gcz_i = sum_j c_j phihat(z_i, z_j) z_j
         np.multiply(self.c_col, Z, out=self.cZ)
-        # a separate buffer for Z^T sends Z @ Z^T to gemm; numpy picks the
-        # much slower syrk when both operands share one buffer
-        np.copyto(self.ZT, Z.T)
+        # a separate buffer for (alpha Z)^T sends the pair product to gemm;
+        # numpy picks the much slower syrk when both operands share one buffer
+        self.unit._kernel_params(Z.T, self.ZT)
         _kernel_sums_into(self.unit, Z, self.ZT, (c, self.cZ), (self.g, self.gcz), self.F)
         # dc = f(z) - g / n
         dc = np.divide(self.g, n, out=self.dc)
@@ -336,10 +337,11 @@ class _Workspace:
         dc, acc = self.dc, self.dZ
         ss = 0.0
         rows = self.feat.shape[0]
+        ZT = unit._kernel_params(Z, self.AZ).T
         for lo in range(0, P, rows):
             Xb = XL[lo : lo + rows]
             k = Xb.shape[0]
-            F = unit._features_into(Xb, Z.T, self.feat[:k], self.S[:k])
+            F = unit._features_into(Xb, ZT, self.feat[:k], self.S[:k])
             # r = y - F c / n
             r = np.matmul(F, c, out=self.net[:k])
             r /= n

@@ -316,27 +316,18 @@ def cell_paths(out_dir: str, n: int, r: int, s: int) -> tuple[str, str]:
     )
 
 
-def run_cell(spec: ExperimentSpec, n: int, r: int, s: int) -> None:
-    """Run one grid cell and write its CSV + checkpoint.  Deterministic in
-    (spec-hash, n, r, s) alone."""
+def run_cell(spec: ExperimentSpec, n: int, r: int, s: int, tensor: SpinTensor,
+             eval_batch) -> tuple:
+    """Train one grid cell on its realization's tensor and probe batch,
+    write its checkpoint, and return (final ensemble, report); the report
+    still lacks final_loss_big.  Deterministic in (spec-hash, n, r, s)
+    alone."""
     h = config_hash(spec)
-    unit = spec.build_unit()
-    tensor = SpinTensor.sample(spec.d, subseed(spec.master_seed, "tensor", r))
     run_seed = subseed(spec.master_seed, f"cell-{n}-{r}", s)
-
-    eval_batch = draw_batch(
-        tensor, spec.d, spec.eval_batch_size, stream(spec.master_seed, "eval-batch")
-    )
-
     cfg = _train_config(spec, n, run_seed)
-    init = cfg.init
-    e0 = init.sample(unit, n, stream(run_seed, "init"))
+    e0 = cfg.init.sample(spec.build_unit(), n, stream(run_seed, "init"))
     plan = DiagnosticPlan(probe_every=spec.probe_every, eval_batch=eval_batch)
     final, report = run_schedule(cfg, e0, tensor, plan)
-
-    final_loss_big = _sampled_loss(
-        final, tensor, spec.final_eval_batch_size, stream(spec.master_seed, "final-eval-batch")
-    )
 
     report.meta.update(
         {
@@ -350,12 +341,8 @@ def run_cell(spec: ExperimentSpec, n: int, r: int, s: int) -> None:
             "tensor_seed": tensor.seed,
         }
     )
-    report.summaries["final_loss_big"] = float(final_loss_big)
-
-    csv_path, ckpt_path = cell_paths(spec.out_dir, n, r, s)
-    report.to_csv(csv_path)
     save_checkpoint(
-        ckpt_path,
+        cell_paths(spec.out_dir, n, r, s)[1],
         final,
         cfg.steps,
         {
@@ -369,32 +356,84 @@ def run_cell(spec: ExperimentSpec, n: int, r: int, s: int) -> None:
             "train": cfg.to_dict(),
         },
     )
+    return final, report
+
+
+def _failure(cell, err: Exception) -> dict:
+    return {"cell": list(cell), "error": f"{type(err).__name__}: {err}"}
+
+
+def run_cells(spec: ExperimentSpec, cells) -> list:
+    """Run the given grid cells and write each one's CSV and checkpoint;
+    return the failures, one {"cell", "error"} entry per failed cell.
+
+    The cells are taken in groups of one tensor realization.  A group
+    builds its tensor and probe batch once and trains its cells one by one
+    through run_cell, then values the final ensembles of all of them on
+    one draw of the final-evaluation points, which depend on the master
+    seed alone, and writes their CSVs.  A cell that raises fails alone;
+    the rest of its group goes on.
+    """
+    groups: dict = {}
+    for n, r, s in cells:
+        groups.setdefault(r, []).append((n, r, s))
+    failures = []
+    for r, group in groups.items():
+        try:
+            tensor = SpinTensor.sample(spec.d, subseed(spec.master_seed, "tensor", r))
+            eval_batch = draw_batch(
+                tensor, spec.d, spec.eval_batch_size, stream(spec.master_seed, "eval-batch")
+            )
+        except Exception as err:  # noqa: BLE001 - the group's cells fail together
+            failures.extend(_failure(cell, err) for cell in group)
+            continue
+        trained = []
+        for cell in group:
+            try:
+                trained.append((cell, *run_cell(spec, *cell, tensor, eval_batch)))
+            except Exception as err:  # noqa: BLE001 - cell isolation
+                failures.append(_failure(cell, err))
+        try:
+            losses = _sampled_loss(
+                [final for _, final, _ in trained],
+                tensor,
+                spec.final_eval_batch_size,
+                stream(spec.master_seed, "final-eval-batch"),
+            )
+        except Exception as err:  # noqa: BLE001 - the trained cells fail together
+            failures.extend(_failure(cell, err) for cell, _, _ in trained)
+            continue
+        for (cell, _, report), loss in zip(trained, losses):
+            report.summaries["final_loss_big"] = loss
+            try:
+                report.to_csv(cell_paths(spec.out_dir, *cell)[0])
+            except Exception as err:  # noqa: BLE001 - cell isolation
+                failures.append(_failure(cell, err))
+    return failures
 
 
 def _run_grid(spec: ExperimentSpec) -> dict:
-    """Execute every cell, then merge.  Worker processes each own whole
-    cells and write only their own files, so output bytes do not depend on
-    the worker count."""
+    """Execute every cell, then merge.  A one-process grid runs all cells
+    through one run_cells call, so the cells of a realization share their
+    evaluation points; a pool runs one cell per task.  Each cell writes
+    only its own files, so output bytes do not depend on the worker
+    count."""
     cells = list(spec.cells())
-    failures = []
     if spec.threads == 1 or len(cells) == 1:
-        for n, r, s in cells:
-            try:
-                run_cell(spec, n, r, s)
-            except Exception as err:  # noqa: BLE001 - cell isolation
-                failures.append({"cell": [n, r, s], "error": f"{type(err).__name__}: {err}"})
+        failures = run_cells(spec, cells)
     else:
         # imported here for cost: it pulls in multiprocessing, which a
         # one-process run never uses
         from concurrent.futures import ProcessPoolExecutor
 
+        failures = []
         with ProcessPoolExecutor(max_workers=spec.threads) as pool:
-            futs = {pool.submit(run_cell, spec, n, r, s): (n, r, s) for n, r, s in cells}
+            futs = {pool.submit(run_cells, spec, [cell]): cell for cell in cells}
             for fut, cell in futs.items():
                 try:
-                    fut.result()
+                    failures.extend(fut.result())
                 except Exception as err:  # noqa: BLE001 - cell isolation
-                    failures.append({"cell": list(cell), "error": f"{type(err).__name__}: {err}"})
+                    failures.append(_failure(cell, err))
     if failures:
         failures.sort(key=lambda f: f["cell"])
         write_summary(os.path.join(spec.out_dir, "failures.json"), {"failures": failures})

@@ -30,6 +30,12 @@ _RETRACT_GATE = 1e-14
 # the sphere.
 _NORM_FLOOR = 1e-12
 
+# Rows per chunk of every row rule that a streamed evaluation must follow:
+# the sampler redraws short rows chunk by chunk, the network evaluation
+# walks its blocks chunk by chunk and a residual is summed chunk by chunk,
+# so a batch taken in chunks of this many rows has the bits of the whole.
+_FINAL_EVAL_CHUNK = 4096
+
 
 def _short_rows(nrm: np.ndarray) -> np.ndarray:
     """Mask of the row norms that _redraw_short_rows would redraw."""
@@ -55,13 +61,27 @@ def _scale_to_sphere(X: np.ndarray, nrm: np.ndarray) -> np.ndarray:
     return np.divide(X, nrm[:, None], out=X)
 
 
+def _gaussian_rows_into(d: int, gen: np.random.Generator, X: np.ndarray, nrm: np.ndarray,
+                        tmp: np.ndarray) -> np.ndarray:
+    """Fill the (size, d) array X with Gaussian rows from gen and nrm with
+    their norms, chunk by chunk: the short rows of a chunk of
+    _FINAL_EVAL_CHUNK rows are redrawn before the next chunk is drawn, so
+    drawing X in pieces of whole chunks gives the rows of one call; tmp is
+    X-shaped scratch."""
+    for lo in range(0, X.shape[0], _FINAL_EVAL_CHUNK):
+        rows = slice(lo, lo + _FINAL_EVAL_CHUNK)
+        Xc, nc, tc = X[rows], nrm[rows], tmp[rows]
+        gen.standard_normal(out=Xc)
+        _redraw_short_rows(d, gen, Xc, np.sqrt(_sq_norms_into(Xc, nc, tc), out=nc), tc)
+    return nrm
+
+
 def _sphere_rows_into(d: int, gen: np.random.Generator, X: np.ndarray, nrm: np.ndarray,
                       tmp: np.ndarray) -> np.ndarray:
     """Fill the (size, d) array X with i.i.d. uniform points on
-    S^{d-1}(sqrt(d)); nrm (size,) and tmp (size, d) are scratch."""
-    gen.standard_normal(out=X)
-    nrm = _redraw_short_rows(d, gen, X, np.sqrt(_sq_norms_into(X, nrm, tmp), out=nrm), tmp)
-    return _scale_to_sphere(X, nrm)
+    S^{d-1}(sqrt(d)), drawn as _gaussian_rows_into draws them; nrm (size,)
+    and tmp (size, d) are scratch."""
+    return _scale_to_sphere(X, _gaussian_rows_into(d, gen, X, nrm, tmp))
 
 
 def sample_sphere_rows(d: int, size: int, rng) -> np.ndarray:

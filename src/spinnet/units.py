@@ -19,7 +19,10 @@ private kernels take lifted input rows, _lift(X): an rbf unit's points
 themselves, a sigmoid unit's rows (x, 1), whose product with Z^T is a.x + b,
 so that a block's features and its gradient sum are one gemm each.  The
 lift goes block by block where the rows are many (network evaluation) and
-once per batch window in a run.
+once per batch window in a run.  On the parameter side they take
+_kernel_params(Z)^T: an rbf unit's alpha Z, so that its features are
+exp(X (alpha Z)^T) with no pass over the (rows, n) block for alpha, and a
+sigmoid unit's Z itself.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import InvalidDimensionError, sample_sphere_rows
+from .geometry import _FINAL_EVAL_CHUNK, InvalidDimensionError, sample_sphere_rows
 
 # the largest alpha * d whose kernel peak exp(alpha d) is a finite double
 _LOG_DBL_MAX = float(np.log(np.finfo(np.float64).max))
@@ -116,20 +119,24 @@ class RbfUnit:
         """The kernel's input rows of the points X: X itself; out is not used."""
         return X
 
-    def _features_into(self, X: np.ndarray, ZT: np.ndarray, out: np.ndarray,
+    def _kernel_params(self, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The kernel's parameter side of Z: alpha Z, in out or in a new
+        array of Z's layout."""
+        return np.multiply(Z, self.alpha, out=out)
+
+    def _features_into(self, X: np.ndarray, AZT: np.ndarray, out: np.ndarray,
                        scratch: np.ndarray | None = None) -> np.ndarray:
-        """out = exp(alpha X Z^T) for 2-d X and ZT = Z^T; scratch is not used."""
-        F = np.matmul(X, ZT, out=out)
-        F *= self.alpha
-        return np.exp(F, out=F)
+        """out = exp(X (alpha Z)^T) for 2-d X and AZT = _kernel_params(Z)^T;
+        scratch is not used."""
+        return np.exp(np.matmul(X, AZT, out=out), out=out)
 
     def features(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """(P, n) matrix phihat(x_p, z_i) = exp(alpha * x_p . z_i)."""
         X, Z = _check_points(self, np.atleast_2d(X)), np.atleast_2d(Z)
-        return self._features_into(X, Z.T, np.empty((X.shape[0], Z.shape[0])))
+        return self._features_into(X, self._kernel_params(Z).T, np.empty((X.shape[0], Z.shape[0])))
 
     def eval_one(self, x: np.ndarray, z: np.ndarray) -> float:
-        return float(np.exp(self.alpha * float(np.dot(x, z))))
+        return float(np.exp(float(np.dot(x, self._kernel_params(z)))))
 
     def grad_param(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """d/dz phihat(x, z) = alpha * x * phihat (ambient)."""
@@ -156,7 +163,7 @@ class RbfUnit:
     def grad_input(self, X: np.ndarray, z: np.ndarray) -> np.ndarray:
         """(P, d) rows d/dx phihat(x_p, z) = alpha * z * phihat."""
         X = np.atleast_2d(X)
-        f = np.exp(self.alpha * (X @ np.asarray(z, dtype=np.float64)))
+        f = np.exp(X @ self._kernel_params(np.asarray(z, dtype=np.float64)))
         return self.alpha * f[:, None] * z[None, :]
 
     def init_rows(self, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -200,6 +207,10 @@ class SigmoidUnit:
         XL[:, : self.d] = X
         XL[:, self.d] = 1.0
         return XL
+
+    def _kernel_params(self, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The kernel's parameter side of Z: Z itself; out is not used."""
+        return Z
 
     def _features_into(self, XL: np.ndarray, ZT: np.ndarray, out: np.ndarray,
                        scratch: np.ndarray) -> np.ndarray:
@@ -354,8 +365,8 @@ def _kernel_sums_into(unit, X: np.ndarray, ZT: np.ndarray, rhs: tuple, outs: tup
                       XL: np.ndarray | None = None) -> tuple:
     """outs[k] = features(X, Z) @ rhs[k], in row blocks of F.shape[0] rows.
 
-    ZT is Z^T, (p, n), in the caller's layout: a contiguous copy and the
-    view Z.T can give other last bits.  F and S (sigmoid units) are block
+    ZT is unit._kernel_params(Z)^T, (p, n), in the caller's layout: a
+    contiguous copy and the view of a transpose can give other last bits.  F and S (sigmoid units) are block
     scratch.  X holds the points; a sigmoid unit lifts them into XL (S
     given), whose row count may be below the block's: then the block's
     features are formed in pieces of that many rows, and its sums still in
@@ -377,15 +388,26 @@ def _kernel_sums_into(unit, X: np.ndarray, ZT: np.ndarray, rhs: tuple, outs: tup
 
 
 def network_eval_rows(e: ParticleEnsemble, X: np.ndarray) -> np.ndarray:
-    """f^(n)(x) = (1/n) sum_i c_i phihat(x, z_i), in row blocks over eval points."""
+    """f^(n)(x) = (1/n) sum_i c_i phihat(x, z_i) at the rows of X.
+
+    X is walked in chunks of _FINAL_EVAL_CHUNK rows and each chunk in
+    cache-sized row blocks, so a row's value depends only on where it sits
+    in its chunk: X evaluated in pieces of whole chunks has the bits of X
+    evaluated at once.
+    """
     X = _check_points(e.unit, np.atleast_2d(np.asarray(X, dtype=np.float64)))
     out = np.empty(X.shape[0])
     # at least one row: an empty walk still needs a block size
-    F = np.empty((max(1, min(X.shape[0], _eval_block_rows(e.n))), e.n))
-    # a sigmoid unit's lifted rows, cache-sized like F
+    F = np.empty((max(1, min(X.shape[0], _FINAL_EVAL_CHUNK, _eval_block_rows(e.n))), e.n))
+    # a sigmoid unit's lifted rows, cache-sized like F, and its logistic scratch
     p = e.unit.param_dim
-    XL = None if p == e.unit.d else np.empty((min(F.shape[0], _eval_block_rows(p)), p))
-    _kernel_sums_into(e.unit, X, e.z.T, (e.c,), (out,), F, np.empty_like(F), XL)
+    XL = S = None
+    if p != e.unit.d:
+        XL, S = np.empty((min(F.shape[0], _eval_block_rows(p)), p)), np.empty_like(F)
+    ZT = e.unit._kernel_params(e.z).T
+    for lo in range(0, X.shape[0], _FINAL_EVAL_CHUNK):
+        rows = slice(lo, lo + _FINAL_EVAL_CHUNK)
+        _kernel_sums_into(e.unit, X[rows], ZT, (e.c,), (out[rows],), F, S, XL)
     return np.divide(out, e.n, out=out)
 
 

@@ -7,6 +7,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+import spinnet.diagnostics as diag
+import spinnet.experiments as experiments
 from spinnet.cli import main
 from spinnet.diagnostics import (
     REPORT_COLUMNS,
@@ -15,7 +17,7 @@ from spinnet.diagnostics import (
     empirical_loss,
     read_report,
 )
-from spinnet.dynamics import load_checkpoint
+from spinnet.dynamics import StepFailure, load_checkpoint
 from spinnet.experiments import (
     ConfigError,
     build_spec,
@@ -27,7 +29,7 @@ from spinnet.experiments import (
     spec_from_mapping,
     spec_to_config_text,
 )
-from spinnet.rng import stream
+from spinnet.rng import stream, subseed
 from spinnet.targets import SpinTensor
 
 TINY = """\
@@ -261,6 +263,64 @@ def test_worker_count_does_not_change_bytes(tiny_cfg, train_dir, tmp_path):
         with open(os.path.join(out2, name), "rb") as fb:
             b = fb.read()
         assert a == b, name
+
+
+# two realizations of three n at d = 5, each valued on 10^4 final points,
+# three 4096-row chunks; n = 100 gives network blocks of 327 rows, which do
+# not divide a chunk
+GROUPED = ["--set", "d=5", "--set", "n_list=4,8,100", "--set", "realizations=2",
+           "--set", "steps=4", "--set", "final_eval_batch_size=10000"]
+
+
+def test_serial_grid_draws_the_final_points_once_per_realization(tiny_cfg, tmp_path,
+                                                                  monkeypatch):
+    draws, groups = [], []
+    draw, sampled = diag._checked_sphere_rows_into, experiments._sampled_loss
+    monkeypatch.setattr(diag, "_checked_sphere_rows_into",
+                        lambda gen, X: draws.append(len(X)) or draw(gen, X))
+    monkeypatch.setattr(experiments, "_sampled_loss",
+                        lambda es, *a: groups.append([e.n for e in es]) or sampled(es, *a))
+    serial, pooled = str(tmp_path / "serial"), str(tmp_path / "pooled")
+    assert run_cli(["train", "--config", tiny_cfg, *GROUPED, "--out", serial])[0] == 0
+    assert groups == [[4, 8, 100]] * 2
+    assert draws == [4096, 4096, 1808] * 2
+    monkeypatch.undo()
+    assert run_cli(["train", "--config", tiny_cfg, *GROUPED, "--out", pooled,
+                    "--threads", "2"])[0] == 0
+    names = sorted(os.listdir(serial))
+    assert names == sorted(os.listdir(pooled)) and len(names) == 14
+    for name in names:
+        if name == "config.cfg":  # records out_dir, which differs by design
+            continue
+        with open(os.path.join(serial, name), "rb") as fa, \
+                open(os.path.join(pooled, name), "rb") as fb:
+            assert fa.read() == fb.read(), name
+
+
+def test_a_failed_cell_fails_alone_in_its_group(tiny_cfg, tmp_path, monkeypatch):
+    failing_seed = subseed(3, "cell-8-0", 0)
+    schedule = experiments.run_schedule
+
+    def run_schedule(cfg, *args):
+        if cfg.master_seed == failing_seed:
+            raise StepFailure(2, 1, "weight")
+        return schedule(cfg, *args)
+
+    monkeypatch.setattr(experiments, "run_schedule", run_schedule)
+    out = tmp_path / "failed"
+    code, _, _ = run_cli(["train", "--config", tiny_cfg, *GROUPED, "--out", str(out)])
+    assert code == 2
+    with open(out / "failures.json") as fh:
+        assert json.load(fh)["failures"] == [
+            {"cell": [8, 0, 0], "error": "StepFailure: non-finite weight at step 2, particle 1"}
+        ]
+    assert not (out / "run_n8_r0_s0.csv").exists() and not (out / "ckpt_n8_r0_s0.json").exists()
+    for n, r in ((4, 0), (100, 0), (4, 1), (8, 1), (100, 1)):
+        final, _, meta = load_checkpoint(out / f"ckpt_n{n}_r{r}_s0.json")
+        tensor = SpinTensor.from_dict(meta["tensor"])
+        alone = diag._sampled_loss([final], tensor, 10000, stream(3, "final-eval-batch"))
+        rep = read_report(out / f"run_n{n}_r{r}_s0.csv")
+        assert [rep.summaries["final_loss_big"]] == alone, (n, r)
 
 
 def test_rerun_reproduces_bytes(tiny_cfg, train_dir):

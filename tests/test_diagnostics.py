@@ -189,76 +189,116 @@ def test_sampled_loss_equals_the_drawn_batch_loss_bitwise(unit_kind, d, target_k
         t = _target(target_kind, e)
         for size in (1, 4095, 4097, 10000):
             want = empirical_loss(e, draw_batch(t, d, size, stream(3, "big")))
-            assert diag._sampled_loss(e, t, size, stream(3, "big")) == want, (n, size)
+            assert diag._sampled_loss([e], t, size, stream(3, "big"))[0] == want, (n, size)
+
+
+@pytest.mark.parametrize("target_kind", ["spin", "planted"])
+@pytest.mark.parametrize("unit_kind", ["rbf", "sigmoid"])
+def test_sampled_loss_of_a_group_is_each_ensembles_loss_bitwise(unit_kind, target_kind):
+    # one draw for networks of every block shape: one row-block per chunk
+    # (n = 1, 3), blocks that do not divide a chunk (100) and ones that do
+    unit = _unit(unit_kind, 5)
+    group = [InitSpec(c_law="normal").sample(unit, n, stream(2, "init", n))
+             for n in (1, 3, 100, 256)]
+    t = _target(target_kind, group[2]) if target_kind == "planted" else SpinTensor.sample(5, 7)
+    for size in (1, 4095, 4096, 4097, 10000):
+        gen = stream(3, "big").generator()
+        got = diag._sampled_loss(group, t, size, gen)
+        for e, loss in zip(group, got):
+            alone = diag._sampled_loss([e], t, size, stream(3, "big"))
+            assert alone == [loss], (e.n, size)
+            assert empirical_loss(e, draw_batch(t, 5, size, stream(3, "big"))) == loss, (e.n, size)
+        ref = stream(3, "big").generator()
+        sample_sphere_rows(5, size, ref)
+        assert gen.bit_generator.state == ref.bit_generator.state
+    assert diag._sampled_loss([], t, 10, stream(3, "big")) == []
 
 
 @pytest.mark.parametrize("n, size", [(1, 40000), (12, 10000), (100, 10000), (256, 4097)])
 def test_sampled_loss_cuts_the_batch_where_the_whole_batch_is_cut(monkeypatch, n, size):
     # a row's network value moves in its last bits when the network meets
-    # it in a block of another row count, which a mean can hide; calls of
-    # whole network blocks keep the partition.  A 3-spin value depends on
-    # its own row alone, so the 3-spin calls need only cover the batch
-    net, spin = diag.network_eval_rows, targets.SpinTensor._eval_into
-    net_rows, spin_rows = [], []
-    monkeypatch.setattr(diag, "network_eval_rows",
-                        lambda e, X: net_rows.append(len(X)) or net(e, X))
+    # it in a block of another row count, which a mean can hide.  The
+    # network walks every batch in 4096-row chunks and each chunk in blocks
+    # of 32768 // n rows, so the streamed pass, which hands it one chunk at
+    # a time, meets the same blocks as one call over the whole batch.  A
+    # 3-spin value depends on its own row alone, so the 3-spin calls need
+    # only cover the batch
+    chunks = [4096] * (size // 4096) + [size % 4096]
+    kernel, spin = units._kernel_sums_into, targets.SpinTensor._eval_into
+    calls, spin_rows = [], []
+    monkeypatch.setattr(units, "_kernel_sums_into",
+                        lambda u, X, ZT, rhs, outs, F, *a: calls.append((len(X), len(F)))
+                        or kernel(u, X, ZT, rhs, outs, F, *a))
     monkeypatch.setattr(targets.SpinTensor, "_eval_into",
                         lambda t, X, *a: spin_rows.append(len(X)) or spin(t, X, *a))
     e = InitSpec(c_law="normal").sample(SigmoidUnit(d=5), n, stream(1, "init", n))
-    diag._sampled_loss(e, SpinTensor.sample(5, 7), size, stream(3, "big"))
-    block = _eval_block_rows(n)
-    assert sum(net_rows) == size and all(m % block == 0 for m in net_rows[:-1])
+    t = SpinTensor.sample(5, 7)
+    network_eval_rows(e, sample_sphere_rows(5, size, stream(3, "big")))
+    whole, calls[:] = calls[:], []
+    diag._sampled_loss([e], t, size, stream(3, "big"))
+    block = min(4096, _eval_block_rows(n))
+    assert whole == [(m, block) for m in chunks]
+    assert calls == [(m, min(m, block)) for m in chunks]
     assert sum(spin_rows) == size
+
+
+def _short_row_floor_calls(monkeypatch, d, size, floor, n=64):
+    """_sampled_loss of one sigmoid ensemble under the norm floor, with the
+    rows of each draw and each network call, against the one-shot points,
+    loss and generator state.  The points are compared too: a redraw moved
+    to the end of the batch permutes the same rows, which the loss and the
+    generator state can miss."""
+    monkeypatch.setattr("spinnet.geometry._NORM_FLOOR", floor)
+    t = SpinTensor.sample(d, 7)
+    e = InitSpec(c_law="normal").sample(SigmoidUnit(d=d), n, stream(1, "init"))
+    gen, ref = stream(5, "big").generator(), stream(5, "big").generator()
+    batch = draw_batch(t, d, size, ref)
+    want = empirical_loss(e, batch)
+    calls, seen, draw, net = [], [], diag._sphere_rows_into, diag.network_eval_rows
+    monkeypatch.setattr(diag, "_sphere_rows_into",
+                        lambda d, g, X, *a: calls.append(("draw", len(X))) or draw(d, g, X, *a))
+    monkeypatch.setattr(diag, "network_eval_rows",
+                        lambda e, X: calls.append(("net", len(X))) or seen.append(X.copy())
+                        or net(e, X))
+    monkeypatch.setattr(diag, "draw_batch", lambda *a: calls.append("replay") or draw_batch(*a))
+    assert diag._sampled_loss([e], t, size, gen) == [want]
+    assert np.array_equal(np.concatenate(seen), batch.points)
+    assert gen.bit_generator.state == ref.bit_generator.state
+    return calls
 
 
 def test_sampled_loss_replays_a_batch_with_short_rows(monkeypatch):
     # a floor of 2.0 makes short Gaussian rows common at d = 3, so the
-    # streamed draw gives up and replays the whole batch, which redraws them
-    monkeypatch.setattr("spinnet.geometry._NORM_FLOOR", 2.0)
-    replays = []
-    monkeypatch.setattr(diag, "draw_batch", lambda *a: replays.append(a) or draw_batch(*a))
-    t = SpinTensor.sample(3, 7)
-    e = InitSpec(c_law="normal").sample(SigmoidUnit(d=3), 12, stream(1, "init"))
-    gen, ref = stream(3, "big").generator(), stream(3, "big").generator()
-    want = empirical_loss(e, draw_batch(t, 3, 5000, ref))
-    assert diag._sampled_loss(e, t, 5000, gen) == want
-    assert len(replays) == 1
-    assert gen.bit_generator.state == ref.bit_generator.state
+    # first chunk redraws some of its rows before the second is drawn, as
+    # the one-shot sampler does; each chunk is still drawn and valued once
+    calls = _short_row_floor_calls(monkeypatch, 3, 5000, 2.0)
+    assert calls == [("draw", 4096), ("net", 4096), ("draw", 904), ("net", 904)]
 
 
 def test_sampled_loss_replays_a_batch_with_short_rows_in_a_later_chunk(monkeypatch):
-    # at n = 64 the chunks have 4096 rows; a floor between the smallest norm
-    # of the first chunk and that of the batch leaves the first chunk whole,
-    # so the replay comes after a chunk went through the network
+    # a floor between the smallest norm of the first chunk and that of the
+    # batch leaves the first chunk whole, so the first redraw comes after a
+    # chunk went through the network
     d, size = 3, 10000
     nrm = np.linalg.norm(stream(5, "big").generator().standard_normal((size, d)), axis=1)
     assert nrm.min() < nrm[:4096].min()
-    t = SpinTensor.sample(d, 7)
-    e = InitSpec(c_law="normal").sample(SigmoidUnit(d=d), 64, stream(1, "init"))
-    monkeypatch.setattr("spinnet.geometry._NORM_FLOOR", 0.5 * (nrm.min() + nrm[:4096].min()))
-    gen, ref = stream(5, "big").generator(), stream(5, "big").generator()
-    want = empirical_loss(e, draw_batch(t, d, size, ref))
-    calls, net = [], diag.network_eval_rows
-    monkeypatch.setattr(diag, "network_eval_rows",
-                        lambda e, X: calls.append(len(X)) or net(e, X))
-    monkeypatch.setattr(diag, "draw_batch", lambda *a: calls.append("replay") or draw_batch(*a))
-    assert diag._sampled_loss(e, t, size, gen) == want
-    assert calls == [4096, "replay", size]
-    assert gen.bit_generator.state == ref.bit_generator.state
+    floor = 0.5 * (nrm.min() + nrm[:4096].min())
+    calls = _short_row_floor_calls(monkeypatch, d, size, floor)
+    assert calls == [("draw", 4096), ("net", 4096)] * 2 + [("draw", 1808), ("net", 1808)]
 
 
 def test_sampled_loss_validation():
     e = InitSpec(c_law="normal").sample(SigmoidUnit(d=3), 4, stream(1, "init"))
     with pytest.raises(EmptyBatchError):
-        diag._sampled_loss(e, SpinTensor.sample(3, 7), 0, stream(3, "big"))
+        diag._sampled_loss([e], SpinTensor.sample(3, 7), 0, stream(3, "big"))
     with pytest.raises(DimensionMismatchError, match="tensor d = 4"):
-        diag._sampled_loss(e, SpinTensor.sample(4, 7), 10, stream(3, "big"))
+        diag._sampled_loss([e], SpinTensor.sample(4, 7), 10, stream(3, "big"))
     # an object that is not a target is refused before a point is drawn
     gen = stream(3, "big").generator()
     state = gen.bit_generator.state
     for bad in (lambda X: np.sum(X, axis=1), "not a target"):
         with pytest.raises(TypeError, match="cannot train on"):
-            diag._sampled_loss(e, bad, 10, gen)
+            diag._sampled_loss([e], bad, 10, gen)
     assert gen.bit_generator.state == state
 
 
@@ -273,23 +313,27 @@ def test_sampled_loss_evaluates_a_planted_target_as_one_chunk(monkeypatch):
     monkeypatch.setattr(diag, "network_eval_rows",
                         lambda e, X: calls.append(len(X)) or net(e, X))
     monkeypatch.setattr(diag, "draw_batch", lambda *a: calls.append("replay") or draw_batch(*a))
-    assert diag._sampled_loss(e, t, size, stream(3, "big")) == want
+    assert diag._sampled_loss([e], t, size, stream(3, "big"))[0] == want
     assert calls == [size]
 
 
 def test_sampled_loss_keeps_no_batch_sized_array():
-    # one (size, d) copy of the batch is 15.3 MB; the streamed call holds
-    # the 1.6 MB residual and one chunk's scratch
+    # a (size,) residual is 1.6 MB; the streamed call holds one chunk's
+    # points and values (0.36 MB) and the scratch of one step at a time:
+    # the sampler's, the 3-spin blocks' or one network's 256 KB feature
+    # block, which a sigmoid network doubles with its logistic scratch and
+    # its lifted rows (0.26 MB at n = 64, 0.18 MB more at n = 16)
     size, d = 200_000, 10
-    e = InitSpec(c_law="normal").sample(SigmoidUnit(d=d), 64, stream(1, "init"))
     t = SpinTensor.sample(d, 7)
-    tracemalloc.start()
-    try:
-        diag._sampled_loss(e, t, size, stream(3, "big"))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < size * d * 8
+    for unit, ns in ((RbfUnit(alpha=0.5, d=d), (16, 64, 256)), (SigmoidUnit(d=d), (64,))):
+        group = [InitSpec(c_law="normal").sample(unit, n, stream(1, "init", n)) for n in ns]
+        tracemalloc.start()
+        try:
+            diag._sampled_loss(group, t, size, stream(3, "big"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (unit, peak)
 
 
 @pytest.mark.parametrize("call", ["draw_batch", "sampled_loss"])
@@ -306,7 +350,7 @@ def test_spin3_scratch_stays_cache_sized(call):
         if call == "draw_batch":
             draw_batch(t, d, size, stream(3, "big"))
         else:
-            diag._sampled_loss(e, t, size, stream(3, "big"))
+            diag._sampled_loss([e], t, size, stream(3, "big"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

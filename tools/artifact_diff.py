@@ -46,8 +46,14 @@ final evaluation ``diagnostics._sampled_loss`` at n in {1, 16, 300} and
 size in {1, 17, 4097}, and the final state of a 40-step SGD
 ``run_schedule`` (n=16) whose batch size goes from P to P^2 at step 20, for
 P in {1, 12, 53}, with ``dynamics._WINDOW_ENTRIES`` set to 64 so that
-batch windows also end inside a run of one batch size.  A differing file
-names the kernel and shape that moved.  It takes about a second per tree.
+batch windows also end inside a run of one batch size.  At d=5, for an rbf
+unit at alpha=1 and at alpha=0.2 and for a sigmoid unit, it hashes
+``units.network_eval_rows`` at n in {1, 3, 100, 300} on rows in {4095,
+4096, 4097, 10000}, and ``_sampled_loss`` of the group of those four
+ensembles on a 3-spin target at size in {4097, 10000}; on a tree whose
+``_sampled_loss`` takes one ensemble, a group is one call per ensemble.  A
+differing file names the kernel and shape that moved.  It takes a few
+seconds per tree.
 
 A job is ``same`` when both sides exit 0 and write at least one file, and
 every file it writes (run CSVs, checkpoints, ``summary.json``,
@@ -88,14 +94,21 @@ PRESETS = (
                  "--set", "d=25", "--set", "n_list=5,64")),
 )
 KERNELS = """
-import hashlib, os, sys
+import hashlib, inspect, os, sys
 import numpy as np
 import spinnet.dynamics as dyn
 from spinnet.diagnostics import _sampled_loss
 from spinnet.dynamics import DiagnosticPlan, InitSpec, TrainConfig, _Workspace, run_schedule
+from spinnet.geometry import sample_sphere_rows
 from spinnet.rng import stream
 from spinnet.targets import PlantedTarget, SpinTensor
-from spinnet.units import RbfUnit, SigmoidUnit
+from spinnet.units import RbfUnit, SigmoidUnit, network_eval_rows
+
+def sampled_losses(es, t, size, rng_key):
+    # a tree whose _sampled_loss takes one ensemble gets one call per ensemble
+    if next(iter(inspect.signature(_sampled_loss).parameters)) == "ensembles":
+        return _sampled_loss(es, t, size, stream(*rng_key))
+    return [_sampled_loss(e, t, size, stream(*rng_key)) for e in es]
 
 out = sys.argv[sys.argv.index("--out") + 1]
 os.makedirs(out, exist_ok=True)
@@ -116,8 +129,20 @@ for d in (2, 5, 10, 25):
                              ("flow_drift", ws.flow_drift(t))):
             write(f"{name}_d{d}_rows{rows}", arrays)
 
-dyn._WINDOW_ENTRIES = 64
 init = InitSpec(c_law="normal")
+t = SpinTensor.sample(5, 11)
+for uname, unit in (("rbf1", RbfUnit(alpha=1.0, d=5)), ("rbf02", RbfUnit(alpha=0.2, d=5)),
+                    ("sigmoid", SigmoidUnit(d=5))):
+    group = [init.sample(unit, n, stream(5, "net", n)) for n in (1, 3, 100, 300)]
+    for e in group:
+        for rows in (4095, 4096, 4097, 10000):
+            X = sample_sphere_rows(5, rows, stream(5, "points", rows))
+            write(f"network_eval_{uname}_n{e.n}_rows{rows}", [network_eval_rows(e, X)])
+    for size in (4097, 10000):
+        write(f"sampled_loss_group_{uname}_size{size}",
+              [sampled_losses(group, t, size, (5, "big", size))])
+
+dyn._WINDOW_ENTRIES = 64
 for d in (5, 25):
     unit = SigmoidUnit(d=d)
     atoms = np.random.default_rng([d, 2]).standard_normal((2, d + 1))
@@ -127,7 +152,7 @@ for d in (5, 25):
         for n in (1, 16, 300):
             e = init.sample(unit, n, stream(d, "init", n))
             for size in (1, 17, 4097):
-                loss = _sampled_loss(e, t, size, stream(1000 * d + n, "big", size))
+                loss = sampled_losses([e], t, size, (1000 * d + n, "big", size))[0]
                 write(f"sampled_loss_{kind}_d{d}_n{n}_size{size}", [loss])
         for P in (1, 12, 53):
             cfg = TrainConfig(dt=0.05, steps=40, dynamics="sgd", init=init, master_seed=P,
