@@ -84,6 +84,10 @@ class StepFailure(RuntimeError):
         self.what = what
         super().__init__(f"non-finite {what} at step {step}, particle {particle}")
 
+    def __reduce__(self):
+        # the default would call __init__ with the message as its one argument
+        return StepFailure, (self.step, self.particle, self.what)
+
 
 # ---------------------------------------------------------------------------
 # initialization

@@ -12,6 +12,7 @@ slope when at least three n values are present).
 """
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import math
@@ -363,61 +364,90 @@ def _failure(cell, err: Exception) -> dict:
     return {"cell": list(cell), "error": f"{type(err).__name__}: {err}"}
 
 
-def run_cells(spec: ExperimentSpec, cells) -> list:
-    """Run the given grid cells and write each one's CSV and checkpoint;
-    return the failures, one {"cell", "error"} entry per failed cell.
+def _train_cells(spec: ExperimentSpec, cells) -> tuple[list, list]:
+    """Train the given cells, all of one tensor realization, and write
+    their checkpoints; return (trained, failures), with one (cell, final
+    ensemble, report) entry per trained cell and one {"cell", "error"}
+    entry per failed one.
 
-    The cells are taken in groups of one tensor realization.  A group
-    builds its tensor and probe batch once and trains its cells one by one
-    through run_cell, then values the final ensembles of all of them on
-    one draw of the final-evaluation points, which depend on the master
-    seed alone, and writes their CSVs.  A cell that raises fails alone;
-    the rest of its group goes on.
+    The realization's tensor and probe batch are built once and every
+    cell trains through run_cell.  A cell that raises fails alone; the
+    others go on.  Never raises, so a pool task returns its failures
+    rather than an exception that the parent would have to unpickle.
     """
-    groups: dict = {}
-    for n, r, s in cells:
-        groups.setdefault(r, []).append((n, r, s))
+    try:
+        tensor = SpinTensor.sample(spec.d, subseed(spec.master_seed, "tensor", cells[0][1]))
+        eval_batch = draw_batch(
+            tensor, spec.d, spec.eval_batch_size, stream(spec.master_seed, "eval-batch")
+        )
+    except Exception as err:  # noqa: BLE001 - the cells fail together
+        return [], [_failure(cell, err) for cell in cells]
+    trained, failures = [], []
+    for cell in cells:
+        try:
+            trained.append((cell, *run_cell(spec, *cell, tensor, eval_batch)))
+        except Exception as err:  # noqa: BLE001 - cell isolation
+            failures.append(_failure(cell, err))
+    return trained, failures
+
+
+def _finish_cells(spec: ExperimentSpec, r: int, trained) -> list:
+    """Value the trained cells of realization r on one draw of the
+    final-evaluation points, which depend on the master seed alone, and
+    write their CSVs; return the failures.
+
+    One _sampled_loss call values every final ensemble, on the tensor
+    rebuilt from its seed.  Never raises, like _train_cells.
+    """
+    if not trained:
+        return []
+    try:
+        losses = _sampled_loss(
+            [final for _, final, _ in trained],
+            SpinTensor.sample(spec.d, subseed(spec.master_seed, "tensor", r)),
+            spec.final_eval_batch_size,
+            stream(spec.master_seed, "final-eval-batch"),
+        )
+    except Exception as err:  # noqa: BLE001 - the trained cells fail together
+        return [_failure(cell, err) for cell, _, _ in trained]
     failures = []
-    for r, group in groups.items():
+    for (cell, _, report), loss in zip(trained, losses):
+        report.summaries["final_loss_big"] = loss
         try:
-            tensor = SpinTensor.sample(spec.d, subseed(spec.master_seed, "tensor", r))
-            eval_batch = draw_batch(
-                tensor, spec.d, spec.eval_batch_size, stream(spec.master_seed, "eval-batch")
-            )
-        except Exception as err:  # noqa: BLE001 - the group's cells fail together
-            failures.extend(_failure(cell, err) for cell in group)
-            continue
-        trained = []
-        for cell in group:
-            try:
-                trained.append((cell, *run_cell(spec, *cell, tensor, eval_batch)))
-            except Exception as err:  # noqa: BLE001 - cell isolation
-                failures.append(_failure(cell, err))
-        try:
-            losses = _sampled_loss(
-                [final for _, final, _ in trained],
-                tensor,
-                spec.final_eval_batch_size,
-                stream(spec.master_seed, "final-eval-batch"),
-            )
-        except Exception as err:  # noqa: BLE001 - the trained cells fail together
-            failures.extend(_failure(cell, err) for cell, _, _ in trained)
-            continue
-        for (cell, _, report), loss in zip(trained, losses):
-            report.summaries["final_loss_big"] = loss
-            try:
-                report.to_csv(cell_paths(spec.out_dir, *cell)[0])
-            except Exception as err:  # noqa: BLE001 - cell isolation
-                failures.append(_failure(cell, err))
+            report.to_csv(cell_paths(spec.out_dir, *cell)[0])
+        except Exception as err:  # noqa: BLE001 - cell isolation
+            failures.append(_failure(cell, err))
+    return failures
+
+
+def _by_realization(cells) -> dict:
+    """realization -> its cells, in grid order."""
+    return {r: [c for c in cells if c[1] == r] for r in dict.fromkeys(c[1] for c in cells)}
+
+
+def run_cells(spec: ExperimentSpec, cells) -> list:
+    """Run the given grid cells in this process and write each one's CSV
+    and checkpoint; return the failures, one {"cell", "error"} entry per
+    failed cell.  Each realization's cells are trained by one _train_cells
+    call, then valued and written by one _finish_cells call."""
+    failures = []
+    for r, group in _by_realization(cells).items():
+        trained, failed = _train_cells(spec, group)
+        failures += failed + _finish_cells(spec, r, trained)
     return failures
 
 
 def _run_grid(spec: ExperimentSpec) -> dict:
     """Execute every cell, then merge.  A one-process grid runs all cells
-    through one run_cells call, so the cells of a realization share their
-    evaluation points; a pool runs one cell per task.  Each cell writes
-    only its own files, so output bytes do not depend on the worker
-    count."""
+    through one run_cells call.  A pool runs the same two routines as two
+    kinds of task: one _train_cells task per cell, all queued first, in
+    grid order; then, as soon as all of a realization's cells are back,
+    one _finish_cells task that values their final ensembles in one pass.
+    Every grid thus draws each realization's final points once.  A task
+    that dies with its worker (a broken pool) fails the cells it held, and
+    the temp files a killed worker left for a failed cell are removed.
+    Each cell writes only its own files, so output bytes do not depend on
+    the worker count."""
     cells = list(spec.cells())
     if spec.threads == 1 or len(cells) == 1:
         failures = run_cells(spec, cells)
@@ -426,16 +456,33 @@ def _run_grid(spec: ExperimentSpec) -> dict:
         # one-process run never uses
         from concurrent.futures import ProcessPoolExecutor
 
-        failures = []
+        failures, finishing = [], []
         with ProcessPoolExecutor(max_workers=spec.threads) as pool:
-            futs = {pool.submit(run_cells, spec, [cell]): cell for cell in cells}
-            for fut, cell in futs.items():
+            futs = {cell: pool.submit(_train_cells, spec, [cell]) for cell in cells}
+            for r, group in _by_realization(cells).items():
+                trained = []
+                for cell in group:
+                    try:
+                        done, failed = futs[cell].result()
+                    except Exception as err:  # noqa: BLE001 - cell isolation
+                        done, failed = [], [_failure(cell, err)]
+                    trained += done
+                    failures += failed
                 try:
-                    failures.extend(fut.result())
-                except Exception as err:  # noqa: BLE001 - cell isolation
-                    failures.append(_failure(cell, err))
+                    finishing.append((trained, pool.submit(_finish_cells, spec, r, trained)))
+                except Exception as err:  # noqa: BLE001 - the trained cells fail together
+                    failures += [_failure(cell, err) for cell, _, _ in trained]
+            for trained, fut in finishing:
+                try:
+                    failures += fut.result()
+                except Exception as err:  # noqa: BLE001 - the trained cells fail together
+                    failures += [_failure(cell, err) for cell, _, _ in trained]
     if failures:
         failures.sort(key=lambda f: f["cell"])
+        for f in failures:
+            for path in cell_paths(spec.out_dir, *f["cell"]):
+                for tmp in glob.glob(glob.escape(path) + ".*.tmp"):
+                    os.remove(tmp)
         write_summary(os.path.join(spec.out_dir, "failures.json"), {"failures": failures})
         raise RuntimeError(f"{len(failures)} cell(s) failed; see failures.json")
 

@@ -297,6 +297,37 @@ def test_serial_grid_draws_the_final_points_once_per_realization(tiny_cfg, tmp_p
             assert fa.read() == fb.read(), name
 
 
+def test_pooled_grid_draws_the_final_points_once_per_realization(tiny_cfg, tmp_path,
+                                                                  monkeypatch):
+    # forked workers inherit the patches; each process appends its own lines
+    log = tmp_path / "calls.log"
+
+    def record(*fields):
+        with open(log, "a") as fh:
+            fh.write(" ".join(map(str, (os.getpid(), *fields))) + "\n")
+
+    draw, sampled = diag._checked_sphere_rows_into, experiments._sampled_loss
+    monkeypatch.setattr(diag, "_checked_sphere_rows_into",
+                        lambda gen, X: record("draw", len(X)) or draw(gen, X))
+    monkeypatch.setattr(experiments, "_sampled_loss",
+                        lambda es, t, *a: record("group", t.seed, *[e.n for e in es])
+                        or sampled(es, t, *a))
+    out = str(tmp_path / "pooled")
+    assert run_cli(["train", "--config", tiny_cfg, *GROUPED, "--out", out,
+                    "--threads", "2"])[0] == 0
+    draws, groups = {}, []
+    for line in log.read_text().splitlines():
+        pid, kind, *fields = line.split()
+        if kind == "draw":
+            draws.setdefault(pid, []).append(int(fields[0]))
+        else:
+            groups.append((int(fields[0]), [int(n) for n in fields[1:]]))
+    assert sorted(groups) == sorted((subseed(3, "tensor", r), [4, 8, 100]) for r in range(2))
+    assert sorted(len(d) for d in draws.values()) in ([6], [3, 3])
+    for d in draws.values():
+        assert d == [4096, 4096, 1808] * (len(d) // 3)
+
+
 def test_a_failed_cell_fails_alone_in_its_group(tiny_cfg, tmp_path, monkeypatch):
     failing_seed = subseed(3, "cell-8-0", 0)
     schedule = experiments.run_schedule
@@ -321,6 +352,54 @@ def test_a_failed_cell_fails_alone_in_its_group(tiny_cfg, tmp_path, monkeypatch)
         alone = diag._sampled_loss([final], tensor, 10000, stream(3, "final-eval-batch"))
         rep = read_report(out / f"run_n{n}_r{r}_s0.csv")
         assert [rep.summaries["final_loss_big"]] == alone, (n, r)
+
+
+def test_a_failed_cell_fails_alone_in_its_pooled_group(tiny_cfg, tmp_path, monkeypatch):
+    # the StepFailure is raised in a worker; the serial run is the reference
+    failing_seed = subseed(3, "cell-8-0", 0)
+    schedule = experiments.run_schedule
+
+    def run_schedule(cfg, *args):
+        if cfg.master_seed == failing_seed:
+            raise StepFailure(2, 1, "weight")
+        return schedule(cfg, *args)
+
+    monkeypatch.setattr(experiments, "run_schedule", run_schedule)
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert run_cli(["train", "--config", tiny_cfg, *GROUPED, "--out", str(serial)])[0] == 2
+    assert run_cli(["train", "--config", tiny_cfg, *GROUPED, "--out", str(pooled),
+                    "--threads", "2"])[0] == 2
+    assert (pooled / "failures.json").read_bytes() == (serial / "failures.json").read_bytes()
+    assert not (pooled / "run_n8_r0_s0.csv").exists()
+    for n, r in ((4, 0), (100, 0), (4, 1), (8, 1), (100, 1)):
+        name = f"run_n{n}_r{r}_s0.csv"
+        assert (read_report(pooled / name).summaries["final_loss_big"]
+                == read_report(serial / name).summaries["final_loss_big"]), (n, r)
+
+
+def test_a_dying_worker_leaves_no_temp_files(tiny_cfg, tmp_path, monkeypatch):
+    # a worker that exits mid-write gets the pool broken and the other
+    # worker terminated, wherever it was
+    save = experiments.save_checkpoint
+
+    def save_checkpoint(path, *args):
+        if path.endswith("ckpt_n8_r0_s0.json"):
+            open(f"{path}.{os.getpid()}.tmp", "w").close()
+            os._exit(3)
+        return save(path, *args)
+
+    monkeypatch.setattr(experiments, "save_checkpoint", save_checkpoint)
+    out = tmp_path / "died"
+    code, _, err = run_cli(["train", "--config", tiny_cfg, *GROUPED, "--out", str(out),
+                            "--threads", "2"])
+    assert code == 2
+    assert stderr_json(err)["error"] == "RuntimeError"
+    with open(out / "failures.json") as fh:
+        failed = [f["cell"] for f in json.load(fh)["failures"]]
+    cells = [[n, r, 0] for n in (4, 8, 100) for r in range(2)]
+    assert failed == sorted(c for c in cells if not (out / f"run_n{c[0]}_r{c[1]}_s0.csv").exists())
+    assert [8, 0, 0] in failed
+    assert list(out.glob("*.tmp")) == []
 
 
 def test_rerun_reproduces_bytes(tiny_cfg, train_dir):

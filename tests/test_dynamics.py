@@ -1,5 +1,6 @@
 """Exact flow, online SGD, Langevin steps, and schedule execution."""
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -522,6 +523,14 @@ def test_step_failure_carries_the_step_index():
         run_schedule(cfg, e0, t, DiagnosticPlan())
     assert (err.value.step, err.value.particle, err.value.what) == (0, 0, "position")
     assert str(err.value) == "non-finite position at step 0, particle 0"
+
+
+def test_step_failure_survives_pickling():
+    # a pool task's exception reaches the parent pickled
+    err = pickle.loads(pickle.dumps(StepFailure(3, 1, "weight")))
+    assert type(err) is StepFailure
+    assert (err.step, err.particle, err.what) == (3, 1, "weight")
+    assert str(err) == "non-finite weight at step 3, particle 1"
 
 
 @pytest.mark.parametrize("batch", [None, 8])

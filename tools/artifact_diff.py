@@ -51,9 +51,15 @@ unit at alpha=1 and at alpha=0.2 and for a sigmoid unit, it hashes
 ``units.network_eval_rows`` at n in {1, 3, 100, 300} on rows in {4095,
 4096, 4097, 10000}, and ``_sampled_loss`` of the group of those four
 ensembles on a 3-spin target at size in {4097, 10000}; on a tree whose
-``_sampled_loss`` takes one ensemble, a group is one call per ensemble.  A
-differing file names the kernel and shape that moved.  It takes a few
-seconds per tree.
+``_sampled_loss`` takes one ensemble, a group is one call per ensemble.
+For the pair kernel and the SGD feature blocks, whose row blocks a block
+rule cuts, it hashes, at n in {1, 16, 100, 250, 300, 512, 1024}: the pair
+sums ``diagnostics.rbf_pair_terms`` (g and the quadratic form) and one
+exact-flow ``_Workspace.flow_drift`` (alpha=1, d=5, normal weights), and,
+for P in {1, 2, 12, 53, 144, 2601} batch points, ``_Workspace.batch_drift``
+(dc, dZ and the batch loss) of an rbf unit at alpha=1, d=5 and of a
+sigmoid unit at d=10.  A differing file names the kernel and shape that
+moved.  It takes a few seconds per tree.
 
 A job is ``same`` when both sides exit 0 and write at least one file, and
 every file it writes (run CSVs, checkpoints, ``summary.json``,
@@ -97,7 +103,7 @@ KERNELS = """
 import hashlib, inspect, os, sys
 import numpy as np
 import spinnet.dynamics as dyn
-from spinnet.diagnostics import _sampled_loss
+from spinnet.diagnostics import _sampled_loss, rbf_pair_terms
 from spinnet.dynamics import DiagnosticPlan, InitSpec, TrainConfig, _Workspace, run_schedule
 from spinnet.geometry import sample_sphere_rows
 from spinnet.rng import stream
@@ -141,6 +147,22 @@ for uname, unit in (("rbf1", RbfUnit(alpha=1.0, d=5)), ("rbf02", RbfUnit(alpha=0
     for size in (4097, 10000):
         write(f"sampled_loss_group_{uname}_size{size}",
               [sampled_losses(group, t, size, (5, "big", size))])
+
+t = SpinTensor.sample(5, 11)
+for n in (1, 16, 100, 250, 300, 512, 1024):
+    e = init.sample(RbfUnit(alpha=1.0, d=5), n, stream(5, "pairs", n))
+    g, quad = rbf_pair_terms(e)
+    write(f"pair_terms_n{n}", [g, quad])
+    write(f"pair_flow_drift_n{n}", _Workspace(e.unit, e.c, e.z, exact=True).flow_drift(t))
+for uname, d, unit in (("rbf", 5, RbfUnit(alpha=1.0, d=5)), ("sigmoid", 10, SigmoidUnit(d=10))):
+    t = SpinTensor.sample(d, 11)
+    for n in (1, 16, 100, 250, 300, 512, 1024):
+        e = init.sample(unit, n, stream(d, "sgd", n))
+        for P in (1, 2, 12, 53, 144, 2601):
+            X = sample_sphere_rows(d, P, stream(d, "batch", P))
+            ws = _Workspace(unit, e.c, e.z, batch=P)
+            write(f"batch_drift_{uname}_n{n}_P{P}",
+                  ws.batch_drift(unit._lift(X), t.eval_rows(X), loss=True))
 
 dyn._WINDOW_ENTRIES = 64
 for d in (5, 25):
