@@ -317,8 +317,12 @@ def cell_paths(out_dir: str, n: int, r: int, s: int) -> tuple[str, str]:
     )
 
 
-def run_cell(spec: ExperimentSpec, n: int, r: int, s: int, tensor: SpinTensor,
-             eval_batch) -> tuple:
+def _tensor(spec: ExperimentSpec, r: int) -> SpinTensor:
+    """The tensor of realization r, drawn from the master seed and r alone."""
+    return SpinTensor.sample(spec.d, subseed(spec.master_seed, "tensor", r))
+
+
+def run_cell(spec: ExperimentSpec, n: int, r: int, s: int) -> tuple:
     """Train one grid cell on its realization's tensor and probe batch,
     write its checkpoint, and return (final ensemble, report); the report
     still lacks final_loss_big.  Deterministic in (spec-hash, n, r, s)
@@ -326,6 +330,10 @@ def run_cell(spec: ExperimentSpec, n: int, r: int, s: int, tensor: SpinTensor,
     h = config_hash(spec)
     run_seed = subseed(spec.master_seed, f"cell-{n}-{r}", s)
     cfg = _train_config(spec, n, run_seed)
+    tensor = _tensor(spec, r)
+    eval_batch = draw_batch(
+        tensor, spec.d, spec.eval_batch_size, stream(spec.master_seed, "eval-batch")
+    )
     e0 = cfg.init.sample(spec.build_unit(), n, stream(run_seed, "init"))
     plan = DiagnosticPlan(probe_every=spec.probe_every, eval_batch=eval_batch)
     final, report = run_schedule(cfg, e0, tensor, plan)
@@ -364,31 +372,16 @@ def _failure(cell, err: Exception) -> dict:
     return {"cell": list(cell), "error": f"{type(err).__name__}: {err}"}
 
 
-def _train_cells(spec: ExperimentSpec, cells) -> tuple[list, list]:
-    """Train the given cells, all of one tensor realization, and write
-    their checkpoints; return (trained, failures), with one (cell, final
-    ensemble, report) entry per trained cell and one {"cell", "error"}
-    entry per failed one.
-
-    The realization's tensor and probe batch are built once and every
-    cell trains through run_cell.  A cell that raises fails alone; the
-    others go on.  Never raises, so a pool task returns its failures
-    rather than an exception that the parent would have to unpickle.
-    """
+def _train_cell(spec: ExperimentSpec, cell) -> tuple[list, list]:
+    """Train one cell through run_cell; return (trained, failures): one
+    (cell, final ensemble, report) entry in trained, or one {"cell",
+    "error"} entry in failures.  Never raises, so a pool task returns its
+    failure rather than an exception that the parent would have to
+    unpickle."""
     try:
-        tensor = SpinTensor.sample(spec.d, subseed(spec.master_seed, "tensor", cells[0][1]))
-        eval_batch = draw_batch(
-            tensor, spec.d, spec.eval_batch_size, stream(spec.master_seed, "eval-batch")
-        )
-    except Exception as err:  # noqa: BLE001 - the cells fail together
-        return [], [_failure(cell, err) for cell in cells]
-    trained, failures = [], []
-    for cell in cells:
-        try:
-            trained.append((cell, *run_cell(spec, *cell, tensor, eval_batch)))
-        except Exception as err:  # noqa: BLE001 - cell isolation
-            failures.append(_failure(cell, err))
-    return trained, failures
+        return [(cell, *run_cell(spec, *cell))], []
+    except Exception as err:  # noqa: BLE001 - cell isolation
+        return [], [_failure(cell, err)]
 
 
 def _finish_cells(spec: ExperimentSpec, r: int, trained) -> list:
@@ -397,14 +390,14 @@ def _finish_cells(spec: ExperimentSpec, r: int, trained) -> list:
     write their CSVs; return the failures.
 
     One _sampled_loss call values every final ensemble, on the tensor
-    rebuilt from its seed.  Never raises, like _train_cells.
+    rebuilt from its seed.  Never raises, like _train_cell.
     """
     if not trained:
         return []
     try:
         losses = _sampled_loss(
             [final for _, final, _ in trained],
-            SpinTensor.sample(spec.d, subseed(spec.master_seed, "tensor", r)),
+            _tensor(spec, r),
             spec.final_eval_batch_size,
             stream(spec.master_seed, "final-eval-batch"),
         )
@@ -420,63 +413,70 @@ def _finish_cells(spec: ExperimentSpec, r: int, trained) -> list:
     return failures
 
 
-def _by_realization(cells) -> dict:
-    """realization -> its cells, in grid order."""
-    return {r: [c for c in cells if c[1] == r] for r in dict.fromkeys(c[1] for c in cells)}
+def _in_place(fn, *args):
+    """Start a task in this process: make the call now and return a
+    callable that gives its result."""
+    out = fn(*args)
+    return lambda: out
 
 
-def run_cells(spec: ExperimentSpec, cells) -> list:
-    """Run the given grid cells in this process and write each one's CSV
-    and checkpoint; return the failures, one {"cell", "error"} entry per
-    failed cell.  Each realization's cells are trained by one _train_cells
-    call, then valued and written by one _finish_cells call."""
-    failures = []
-    for r, group in _by_realization(cells).items():
-        trained, failed = _train_cells(spec, group)
-        failures += failed + _finish_cells(spec, r, trained)
+def _run_tasks(spec: ExperimentSpec, cells, start) -> list:
+    """The grid schedule; start(fn, *args) starts a task and returns a
+    callable that gives its result.  One _train_cell task per cell is
+    started first, in grid order; then, as soon as all of a realization's
+    cells are back, one _finish_cells task values their final ensembles
+    in one pass.  Every grid thus draws each realization's final points
+    once.  Returns the failures; a task whose result cannot be had (its
+    worker died) fails the cells it held."""
+    groups: dict = {}
+    for cell in cells:
+        groups.setdefault(cell[1], []).append((cell, start(_train_cell, spec, cell)))
+    failures, finishing = [], []
+    for r, group in groups.items():
+        trained = []
+        for cell, result in group:
+            try:
+                done, failed = result()
+            except Exception as err:  # noqa: BLE001 - cell isolation
+                done, failed = [], [_failure(cell, err)]
+            trained += done
+            failures += failed
+        finishing.append((trained, start(_finish_cells, spec, r, trained)))
+    for trained, result in finishing:
+        try:
+            failures += result()
+        except Exception as err:  # noqa: BLE001 - the trained cells fail together
+            failures += [_failure(cell, err) for cell, _, _ in trained]
     return failures
 
 
 def _run_grid(spec: ExperimentSpec) -> dict:
-    """Execute every cell, then merge.  A one-process grid runs all cells
-    through one run_cells call.  A pool runs the same two routines as two
-    kinds of task: one _train_cells task per cell, all queued first, in
-    grid order; then, as soon as all of a realization's cells are back,
-    one _finish_cells task that values their final ensembles in one pass.
-    Every grid thus draws each realization's final points once.  A task
-    that dies with its worker (a broken pool) fails the cells it held, and
-    the temp files a killed worker left for a failed cell are removed.
-    Each cell writes only its own files, so output bytes do not depend on
-    the worker count."""
+    """Execute every cell through _run_tasks, then merge.  This only
+    chooses where the tasks run: in place when the grid has one process,
+    else on a pool of min(threads, cells) workers.  A task that a broken
+    pool no longer takes runs in place: the cells of a realization whose
+    finish task could not be queued are trained and their ensembles are
+    here, so they are still valued and written.  The temp files a killed
+    worker left for a failed cell are removed.  Each cell writes only its
+    own files, so output bytes do not depend on the worker count."""
     cells = list(spec.cells())
-    if spec.threads == 1 or len(cells) == 1:
-        failures = run_cells(spec, cells)
+    workers = min(spec.threads, len(cells))
+    if workers == 1:
+        failures = _run_tasks(spec, cells, _in_place)
     else:
         # imported here for cost: it pulls in multiprocessing, which a
         # one-process run never uses
         from concurrent.futures import ProcessPoolExecutor
 
-        failures, finishing = [], []
-        with ProcessPoolExecutor(max_workers=spec.threads) as pool:
-            futs = {cell: pool.submit(_train_cells, spec, [cell]) for cell in cells}
-            for r, group in _by_realization(cells).items():
-                trained = []
-                for cell in group:
-                    try:
-                        done, failed = futs[cell].result()
-                    except Exception as err:  # noqa: BLE001 - cell isolation
-                        done, failed = [], [_failure(cell, err)]
-                    trained += done
-                    failures += failed
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+
+            def start(fn, *args):
                 try:
-                    finishing.append((trained, pool.submit(_finish_cells, spec, r, trained)))
-                except Exception as err:  # noqa: BLE001 - the trained cells fail together
-                    failures += [_failure(cell, err) for cell, _, _ in trained]
-            for trained, fut in finishing:
-                try:
-                    failures += fut.result()
-                except Exception as err:  # noqa: BLE001 - the trained cells fail together
-                    failures += [_failure(cell, err) for cell, _, _ in trained]
+                    return pool.submit(fn, *args).result
+                except RuntimeError:  # the pool is broken: no task is queued
+                    return _in_place(fn, *args)
+
+            failures = _run_tasks(spec, cells, start)
     if failures:
         failures.sort(key=lambda f: f["cell"])
         for f in failures:
@@ -547,7 +547,7 @@ def run_gradcheck(spec: ExperimentSpec, cases: int = 20, tol: float = 1e-6) -> d
     difference quotients never need the constraint."""
     d = spec.d
     unit = spec.build_unit()
-    tensor = SpinTensor.sample(d, subseed(spec.master_seed, "tensor", 0))
+    tensor = _tensor(spec, 0)
     gen = stream(spec.master_seed, "gradcheck").generator()
     errs: dict = {"target_grad": 0.0, "unit_grad_param": 0.0, "unit_grad_input": 0.0, "drift": 0.0}
 

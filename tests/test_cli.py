@@ -2,6 +2,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -400,6 +402,59 @@ def test_a_dying_worker_leaves_no_temp_files(tiny_cfg, tmp_path, monkeypatch):
     assert failed == sorted(c for c in cells if not (out / f"run_n{c[0]}_r{c[1]}_s0.csv").exists())
     assert [8, 0, 0] in failed
     assert list(out.glob("*.tmp")) == []
+    # the n = 4 cells train fast; a realization whose finish task the broken
+    # pool refused is valued and written in the parent
+    written = sorted(p.name for p in out.glob("run_*.csv"))
+    assert {"run_n4_r0_s0.csv", "run_n4_r1_s0.csv"} & set(written)
+    monkeypatch.undo()
+    serial = tmp_path / "serial"
+    assert run_cli(["train", "--config", tiny_cfg, *GROUPED, "--out", str(serial)])[0] == 0
+    for name in written + sorted(p.name for p in out.glob("ckpt_*.json")):
+        assert (out / name).read_bytes() == (serial / name).read_bytes(), name
+
+
+def test_the_pool_starts_at_most_one_worker_per_cell(tiny_cfg, tmp_path, monkeypatch):
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    spawned = []
+    spawn = ProcessPoolExecutor._spawn_process
+    monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process",
+                        lambda pool: spawned.append(1) or spawn(pool))
+    code, _, _ = run_cli(["train", "--config", tiny_cfg, "--out", str(tmp_path / "cap"),
+                          "--threads", "8"])
+    assert code == 0
+    assert len(spawned) == 2  # one per cell of n_list = 4,8
+
+
+def test_a_one_process_grid_imports_no_pool(tiny_cfg, tmp_path):
+    # a one-process grid pays neither import at start-up
+    argv = ["train", "--config", tiny_cfg, *GROUPED, "--out", str(tmp_path / "one"),
+            "--threads", "1"]
+    script = (
+        "import json, sys\n"
+        "from spinnet.cli import main\n"
+        f"code = main({argv!r})\n"
+        "pool = [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]\n"
+        "print(json.dumps([code, pool]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, []]
+
+
+def test_run_cell_alone_writes_the_grid_checkpoint(tiny_cfg, tmp_path):
+    # a cell needs nothing from the cells before it, so it can run alone
+    grid, alone = tmp_path / "grid", tmp_path / "alone"
+    assert run_cli(["train", "--config", tiny_cfg, *GROUPED, "--out", str(grid)])[0] == 0
+    overrides = dict(kv.split("=", 1) for kv in GROUPED[1::2])
+    spec = build_spec(config_path=tiny_cfg, overrides=dict(overrides, out_dir=str(alone)))
+    alone.mkdir()
+    experiments.run_cell(spec, 8, 1, 0)
+    name = "ckpt_n8_r1_s0.json"
+    assert os.listdir(alone) == [name]
+    assert (alone / name).read_bytes() == (grid / name).read_bytes()
 
 
 def test_rerun_reproduces_bytes(tiny_cfg, train_dir):
