@@ -45,6 +45,7 @@ from .diagnostics import (
     residual_signed_split,
 )
 from .geometry import (
+    _RETRACT_GATE,
     _retract_into,
     _sq_norms_into,
     _tangent_project_into,
@@ -58,7 +59,6 @@ from .units import (
     UnitMismatchError,
     _check_points,
     _eval_block_rows,
-    _kernel_sums_into,
 )
 
 DYNAMICS_KINDS = ("gd", "sgd", "langevin")
@@ -267,9 +267,12 @@ class _Workspace:
     for an unconstrained unit they are the columns of one (n, p + 1) buffer
     cz = [c | Z].  It has two modes.  exact=True: flow_drift() writes the
     exact-flow drift of the current state into dc and dZ (RBF ensembles
-    only), with the target values and gradients at Z from one call of the
-    target's own _eval_into on the workspace's _spin3_scratch buffers,
-    whatever kind of target it is.  batch > 0: batch_drift() writes the SGD drift
+    only) by a fixed run of numpy calls on views built once: the target's
+    value and gradient pass at Z, bound by the target itself
+    (_bind_eval) on the workspace's _spin3_scratch buffers when it first
+    meets the target, whatever kind of target it is, then the pair kernel's
+    blocks and the drift's combination, bound when the workspace is
+    built.  batch > 0: batch_drift() writes the SGD drift
     of a given batch of up to `batch` points into dc and dZ, the columns of
     one (n, p + 1) buffer D = [dc | dZ]; the batches come from the caller
     (run_schedule's window, or draw_batch).  Every kernel is walked in
@@ -282,8 +285,9 @@ class _Workspace:
         if unit.constrained:
             self.cz = None
             self.c, self.Z = c.copy(), Z.copy()
-            self.z_flat = self.Z.reshape(-1)
+            self.radius = unit.radius
             self.zz, self.coef, self.nrm, self.scale = (np.empty(n) for _ in range(4))
+            self.scale_col = self.scale[:, None]
             self.V, self.U = np.empty((n, p)), np.empty((n, p))
         else:
             self.cz = np.empty((n, p + 1))
@@ -295,11 +299,7 @@ class _Workspace:
         self.inc_c, self.xi_c = np.empty(n), np.empty(n)
         self.tmp, self.xi_z = np.empty((n, p)), np.empty((n, p))
         if exact:
-            self.dc, self.dZ = np.empty(n), np.empty((n, p))
-            self.s3 = _spin3_scratch(p, n)
-            self.fz, self.g, self.cn = (np.empty(n) for _ in range(3))
-            self.gradf, self.cZ, self.gcz = (np.empty((n, p)) for _ in range(3))
-            self.ZT, self.F = np.empty((p, n)), np.empty((min(n, _eval_block_rows(n)), n))
+            self._bind_flow()
         if batch > 0:
             self.D, self.Dtmp = np.empty((n, p + 1)), np.empty((n, p + 1))
             self.AZ = np.empty((n, p))
@@ -312,25 +312,42 @@ class _Workspace:
     def ensemble(self) -> ParticleEnsemble:
         return ParticleEnsemble(unit=self.unit, c=self.c, z=self.Z)
 
+    def _bind_flow(self) -> None:
+        """The exact-flow buffers, and every numpy call of the drift after
+        the target's pass as a (function, args) pair on views of them."""
+        c, Z, (n, p), alpha = self.c, self.Z, self.Z.shape, self.unit.alpha
+        self.dc, self.dZ = np.empty(n), np.empty((n, p))
+        self.s3 = _spin3_scratch(p, n)
+        self.fz, self.g, self.cn = (np.empty(n) for _ in range(3))
+        self.gradf, self.cZ, self.gcz = (np.empty((n, p)) for _ in range(3))
+        ZT, F = np.empty((p, n)), np.empty((min(n, _eval_block_rows(n)), n))
+        # g_i = sum_j c_j phihat(z_i, z_j), gcz_i = sum_j c_j phihat(z_i, z_j) z_j,
+        # summed in the row blocks of _kernel_sums_into.  A separate buffer for
+        # (alpha Z)^T sends the pair product to gemm; numpy picks the much
+        # slower syrk when both operands share one buffer
+        calls = [(np.multiply, (self.c_col, Z, self.cZ)), (np.multiply, (Z.T, alpha, ZT))]
+        for lo in range(0, n, F.shape[0]):
+            Zb = Z[lo : lo + F.shape[0]]
+            Fb = F[: Zb.shape[0]]
+            calls += [(np.matmul, (Zb, ZT, Fb)), (np.exp, (Fb, Fb)),
+                      (np.matmul, (Fb, c, self.g[lo : lo + Fb.shape[0]])),
+                      (np.matmul, (Fb, self.cZ, self.gcz[lo : lo + Fb.shape[0]]))]
+        # dc = f(z) - g / n, dZ = c grad f(z) - ((alpha / n) c) gcz
+        calls += [(np.divide, (self.g, n, self.dc)), (np.subtract, (self.fz, self.dc, self.dc)),
+                  (np.multiply, (self.c_col, self.gradf, self.dZ)),
+                  (np.multiply, (alpha / n, c, self.cn)),
+                  (np.multiply, (self.cn[:, None], self.gcz, self.tmp)),
+                  (np.subtract, (self.dZ, self.tmp, self.dZ))]
+        self.pair_calls, self.bound_target, self.drift_calls = tuple(calls), None, ()
+
     def flow_drift(self, target):
         """Pair-loss descent drift (dc, dZ) at the current state."""
-        c, Z, n, alpha = self.c, self.Z, self.n, self.unit.alpha
-        target._eval_into(Z, self.fz, self.gradf, self.s3, n)
-        # g_i = sum_j c_j phihat(z_i, z_j), gcz_i = sum_j c_j phihat(z_i, z_j) z_j
-        np.multiply(self.c_col, Z, out=self.cZ)
-        # a separate buffer for (alpha Z)^T sends the pair product to gemm;
-        # numpy picks the much slower syrk when both operands share one buffer
-        self.unit._kernel_params(Z.T, self.ZT)
-        _kernel_sums_into(self.unit, Z, self.ZT, (c, self.cZ), (self.g, self.gcz), self.F)
-        # dc = f(z) - g / n
-        dc = np.divide(self.g, n, out=self.dc)
-        np.subtract(self.fz, dc, out=dc)
-        # dZ = c grad f(z) - ((alpha / n) c) gcz
-        dZ = np.multiply(self.c_col, self.gradf, out=self.dZ)
-        np.multiply(alpha / n, c, out=self.cn)
-        np.multiply(self.cn[:, None], self.gcz, out=self.tmp)
-        np.subtract(dZ, self.tmp, out=dZ)
-        return dc, dZ
+        if target is not self.bound_target:
+            calls = target._bind_eval(self.Z, self.fz, self.gradf, self.s3)
+            self.bound_target, self.drift_calls = target, calls + self.pair_calls
+        for f, args in self.drift_calls:
+            f(*args)
+        return self.dc, self.dZ
 
     def batch_drift(self, XL: np.ndarray, y: np.ndarray, loss: bool = False):
         """SGD drift (dc, dZ) at the current state of the batch of lifted
@@ -414,13 +431,23 @@ class _Workspace:
                 _tangent_project_into(V, Z, zz, U, self.coef, tmp)
             U += Z
             nrm = np.sqrt(_sq_norms_into(U, self.nrm, tmp), out=self.nrm)
-            if not (0.0 < nrm.min() and nrm.max() < math.inf):  # a NaN fails too
+            lo, radius = nrm.min(), self.radius
+            if not (0.0 < lo and nrm.max() < math.inf):  # a NaN fails too
                 # norm 0 (the drift cancels the position) or not representable
                 # (overflow after a diverging step): the particle left the
                 # manifold for good
                 raise StepFailure(step, _first((nrm == 0.0) | ~np.isfinite(nrm)), "position")
-            _retract_into(U, nrm, self.unit.radius, Z, self.scale)
-            ss = np.dot(c, c) + np.dot(self.z_flat, self.z_flat)
+            if lo - radius > _RETRACT_GATE * radius:
+                # subtraction is monotone, so no row is within the gate that
+                # _retract_into keeps: every row is rescaled
+                np.divide(radius, nrm, out=self.scale)
+                np.multiply(U, self.scale_col, out=Z)
+            else:
+                _retract_into(U, nrm, radius, Z, self.scale)
+            # a nonzero norm is at least sqrt(5e-324), so radius / nrm is
+            # finite and a rescaled entry is at most about radius; a kept row
+            # has a finite norm, so finite entries: Z needs no check
+            ss = np.dot(c, c)
         if math.isfinite(ss):
             return  # every entry is finite; a sum that overflows is checked entry by entry
         if not np.isfinite(c).all():

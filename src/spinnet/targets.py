@@ -18,6 +18,7 @@ object with a TypeError.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,12 @@ class _Target:
     either of them None, and returns fx, or gradf when fx is None; scratch
     is _spin3_scratch(d, len(X)) and X holds batches of P rows, each
     valued as a one-shot evaluation of its rows."""
+
+    def _bind_eval(self, X, fx, gradf, scratch) -> tuple:
+        """_eval_into(X, fx, gradf, scratch, len(X)) as (function, args)
+        calls bound once: made in order, they value the rows X holds then.
+        X and gradf are C-contiguous arrays that outlive the calls."""
+        return ((self._eval_into, (X, fx, gradf, scratch, X.shape[0])),)
 
     def eval_rows(self, X: np.ndarray) -> np.ndarray:
         """Target values at the rows of X, evaluated as one batch."""
@@ -108,15 +115,26 @@ class SpinTensor(_Target):
     def _eval_into(self, X, fx, gradf, scratch, P):
         """fx = f(X) and gradf = grad f(X) row by row; gradf is a
         contiguous (n, d) array and P is not used, since every row is
-        evaluated alone.
+        evaluated alone.  The calls are those of _calls, made as they come."""
+        for f, args in self._calls(X, fx, gradf, scratch):
+            f(*args)
+        return gradf if fx is None else fx
+
+    def _bind_eval(self, X, fx, gradf, scratch) -> tuple:
+        return tuple(self._calls(X, fx, gradf, scratch))
+
+    def _calls(self, X, fx, gradf, scratch):
+        """The numpy calls of the 3-spin kernel, as (function, args) pairs
+        whose views are built as they come.
 
         The first contraction, with _grad_matrix(), is a gemm whose rows
         can move in their last bits with the number of rows it meets, so
         every gemm meets _SLAB rows: X is walked in blocks of whole slabs,
-        and a tail shorter than a slab goes through zero-padded in pad.
-        The second contraction, row by row, gives m = d grad f(x), and the
-        value is x . m / (3d), so each row's value and gradient are the
-        same wherever the row sits in X and whichever of them is asked for.
+        and a tail shorter than a slab goes through zero-padded in pad
+        (its zero rows are written here, before its calls).  The second
+        contraction, row by row, gives m = d grad f(x), and the value is
+        x . m / (3d), so each row's value and gradient are the same
+        wherever the row sits in X and whichever of them is asked for.
         """
         d, G = self.d, self._grad_matrix()
         m1, m2, pad = scratch
@@ -126,22 +144,22 @@ class SpinTensor(_Target):
             k = Xc.shape[0]
             whole = k - k % _SLAB
             if whole:  # sum over p, one gemm per slab
-                np.matmul(Xc[:whole].reshape(-1, _SLAB, d), G,
-                          out=m1[:whole].reshape(-1, _SLAB, d * d))
+                yield np.matmul, (Xc[:whole].reshape(-1, _SLAB, d), G,
+                                  m1[:whole].reshape(-1, _SLAB, d * d))
             if whole < k:
-                pad[: k - whole] = Xc[whole:]
                 pad[k - whole :] = 0.0
-                np.matmul(pad, G, out=m1[whole : whole + _SLAB])
+                yield operator.setitem, (pad, slice(k - whole), Xc[whole:])
+                yield np.matmul, (pad, G, m1[whole : whole + _SLAB])
             m = m2[:k] if gradf is None else gradf[lo : lo + k].reshape(k, 1, d)
-            np.matmul(Xc[:, None, :], m1[:k].reshape(k, d, d), out=m)  # sum over q
+            yield np.matmul, (Xc[:, None, :], m1[:k].reshape(k, d, d), m)  # sum over q
             if fx is not None:
-                xm = np.multiply(m[:, 0], Xc, out=m2[:k, 0])
-                np.add.reduce(xm, axis=1, out=fx[lo : lo + k])          # sum over r
+                xm = m2[:k, 0]
+                yield np.multiply, (m[:, 0], Xc, xm)
+                yield np.add.reduce, (xm, 1, None, fx[lo : lo + k])  # sum over r
         if gradf is not None:
-            gradf /= d
+            yield np.divide, (gradf, d, gradf)
         if fx is not None:
-            fx /= 3 * d
-        return gradf if fx is None else fx
+            yield np.divide, (fx, 3 * d, fx)
 
     def to_dict(self) -> dict:
         return {"kind": "spin3", "d": self.d, "seed": self.seed}
@@ -167,7 +185,7 @@ _SLAB = 16
 
 def _spin3_scratch(d: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(m1, m2, pad) scratch of SpinTensor._eval_into for calls of up to
-    rows rows, which every caller of _Target._eval_into passes, whatever
+    rows rows, which every caller of _Target._eval_into or _bind_eval passes, whatever
     the kind of target.  A (k, d^2) block of m1 holds about
     _EVAL_BLOCK_ENTRIES entries and stays in a core's cache."""
     k = max(_SLAB, min(rows, _eval_block_rows(d * d)))

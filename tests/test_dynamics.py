@@ -64,12 +64,13 @@ def test_flow_zero_weights_moves_only_c():
 
 
 def test_flow_drift_makes_one_spin3_pass_per_step(monkeypatch):
-    # the value and the gradient at the particles come from one call of
-    # the 3-spin kernel, for every state the exact flow visits
-    kernel, calls = targets.SpinTensor._eval_into, []
-    monkeypatch.setattr(targets.SpinTensor, "_eval_into",
-                        lambda t, X, fx, gradf, *a: calls.append((fx is None, gradf is None))
-                        or kernel(t, X, fx, gradf, *a))
+    # the value and the gradient at the particles come from one pass of
+    # the 3-spin kernel's bound calls, for every state the exact flow visits
+    bind, calls = targets.SpinTensor._bind_eval, []
+    monkeypatch.setattr(targets.SpinTensor, "_bind_eval",
+                        lambda t, X, fx, gradf, *a:
+                        ((calls.append, ((fx is None, gradf is None),)),)
+                        + bind(t, X, fx, gradf, *a))
     d, n = 5, 16
     unit = RbfUnit(alpha=1.0, d=d)
     cfg = TrainConfig(dt=1e-3, steps=4, dynamics="gd", init=InitSpec(c_law="normal"),
@@ -678,11 +679,19 @@ def test_finite_state_whose_sum_of_squares_overflows_steps(kind):
     assert np.isfinite(e2.c).all() and np.isfinite(e2.z).all()
 
 
-def test_run_schedule_equals_repeated_flow_steps_bitwise():
-    # the schedule runner and the public step function share one step kernel
-    d, n = 5, 24
+@pytest.mark.parametrize("pair_block", [None, 64])
+@pytest.mark.parametrize("kind", ["spin", "planted"])
+@pytest.mark.parametrize("n", [1, 16, 17, 24, 100, 300])
+def test_run_schedule_equals_repeated_flow_steps_bitwise(monkeypatch, n, kind, pair_block):
+    # the schedule runner and the public step function share one step
+    # kernel, and the runner's workspace, whose calls are bound once, never
+    # reads a stale view: pad tails (n=1, 17), many pair and 3-spin blocks
+    # (n=300, or 64-entry blocks) and a planted target's own pass included
+    if pair_block is not None:
+        monkeypatch.setattr(units, "_EVAL_BLOCK_ENTRIES", pair_block)
+    d = 5
     unit = RbfUnit(alpha=1.0, d=d)
-    t = SpinTensor.sample(d, 53)
+    t = SpinTensor.sample(d, 53) if kind == "spin" else planted_one_atom(d)[1]
     cfg = TrainConfig(dt=1e-3, steps=30, dynamics="gd",
                       init=InitSpec(c_law="normal"), master_seed=53)
     e0 = cfg.init.sample(unit, n, stream(cfg.master_seed, "init"))
@@ -692,6 +701,29 @@ def test_run_schedule_equals_repeated_flow_steps_bitwise():
         e = langevin_step(e, t, None, cfg.dt, math.inf, stream(53, "step"))
     assert np.array_equal(final.c, e.c)
     assert np.array_equal(final.z, e.z)
+
+
+def test_a_particle_inside_the_retraction_gate_keeps_its_bits():
+    # c_0 = 0 zeroes particle 0's drift, so its update is its own position,
+    # whose norm is a few ulps off the radius: inside the gate, it keeps its
+    # bits, and the minimum norm sends every other row through the gated
+    # retraction too
+    d, n, dt = 5, 8, 1e-3
+    unit = RbfUnit(alpha=1.0, d=d)
+    e = InitSpec(c_law="normal").sample(unit, n, stream(61, "init"))
+    e.c[0] = 0.0
+    zz = geo._sq_norms_into(e.z, np.empty(n), np.empty((n, d)))
+    assert np.sqrt(zz[0]) != unit.radius  # a rescale would move it
+    ws = dyn._Workspace(unit, e.c, e.z, exact=True)
+    dc, dZ = ws.flow_drift(SpinTensor.sample(d, 61))
+    assert not dZ[0].any()
+    U = geo.tangent_project_rows(dZ, e.z) * dt + e.z
+    nrm = np.sqrt(geo._sq_norms_into(U, np.empty(n), np.empty((n, d))))
+    want = geo._retract_into(U, nrm, unit.radius, np.empty((n, d)), np.empty(n))
+    ws.apply(dc, dZ, dt, 0)
+    assert np.array_equal(ws.Z[0], e.z[0])
+    assert np.array_equal(ws.Z, want)
+    assert not np.array_equal(ws.Z[1:], U[1:])
 
 
 @pytest.mark.parametrize("pair_block", [None, 64])

@@ -58,8 +58,14 @@ sums ``diagnostics.rbf_pair_terms`` (g and the quadratic form) and one
 exact-flow ``_Workspace.flow_drift`` (alpha=1, d=5, normal weights), and,
 for P in {1, 2, 12, 53, 144, 2601} batch points, ``_Workspace.batch_drift``
 (dc, dZ and the batch loss) of an rbf unit at alpha=1, d=5 and of a
-sigmoid unit at d=10.  A differing file names the kernel and shape that
-moved.  It takes a few seconds per tree.
+sigmoid unit at d=10.  For the exact-flow step, whose calls a workspace
+binds once, it hashes the final c and Z and the ``flow_energy`` record of
+a 40-step exact-flow ``run_schedule`` at n in {1, 15, 16, 17, 100, 300}
+and d in {5, 25} (alpha=1 at d=5, 0.2 at d=25), from zero and from
+normal weights, with noise for the first 20 steps and without noise; a
+noise-free zero start puts every row inside the retraction's gate on
+step 0.  A differing file names the kernel and shape that moved.  It
+takes a few seconds per tree.
 
 A job is ``same`` when both sides exit 0 and write at least one file, and
 every file it writes (run CSVs, checkpoints, ``summary.json``,
@@ -163,6 +169,17 @@ for uname, d, unit in (("rbf", 5, RbfUnit(alpha=1.0, d=5)), ("sigmoid", 10, Sigm
             ws = _Workspace(unit, e.c, e.z, batch=P)
             write(f"batch_drift_{uname}_n{n}_P{P}",
                   ws.batch_drift(unit._lift(X), t.eval_rows(X), loss=True))
+
+for d, alpha in ((5, 1.0), (25, 0.2)):
+    unit, t = RbfUnit(alpha=alpha, d=d), SpinTensor.sample(d, 11)
+    for law in ("zero", "normal"):
+        for noise, schedule in (("noisy", ((0, 0.05), (20, 0.0))), ("quiet", ())):
+            cfg = TrainConfig(dt=1e-3, steps=40, dynamics="gd", init=InitSpec(c_law=law),
+                              master_seed=d, noise_schedule=schedule)
+            for n in (1, 15, 16, 17, 100, 300):
+                e, rep = run_schedule(cfg, cfg.init.sample(unit, n, stream(d, "flow", n)), t,
+                                      DiagnosticPlan(track_flow_energy=True))
+                write(f"flow_run_{noise}_{law}_d{d}_n{n}", [e.c, e.z, rep.extras["flow_energy"]])
 
 dyn._WINDOW_ENTRIES = 64
 for d in (5, 25):
