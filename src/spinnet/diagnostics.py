@@ -240,8 +240,7 @@ def rbf_pair_terms(e: ParticleEnsemble) -> tuple[np.ndarray, float]:
     """
     if not isinstance(e.unit, RbfUnit):
         raise InvalidDimensionError("pair loss is defined for RBF ensembles only")
-    # a contiguous (alpha Z)^T, as the exact flow's drift uses
-    AZT = e.unit._kernel_params(e.z.T, np.empty((e.unit.d, e.n)))
+    AZT = e.unit._kernel_params(e.z, np.empty((e.unit.d, e.n)))
     F = np.empty((min(e.n, _eval_block_rows(e.n)), e.n))
     (g,) = _kernel_sums_into(e.unit, e.z, AZT, (e.c,), (np.empty(e.n),), F)
     return g, float(np.dot(e.c, g))
@@ -340,6 +339,17 @@ def fit_scaling_slope(points) -> tuple[float, float]:
     return slope, stderr
 
 
+def _check_slice_points(points: int, d: int) -> None:
+    """InvalidDimensionError when a slice's (points, d) array of doubles
+    would not fit in physical memory, before anything is allocated."""
+    need, have = 8 * points * d, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise InvalidDimensionError(
+            f"a slice of {points} points at d = {d} needs {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
+
+
 def great_circle_slice(
     e: ParticleEnsemble, target, i: int, j: int, resolution: int
 ) -> dict:
@@ -352,6 +362,7 @@ def great_circle_slice(
         raise InvalidDimensionError(f"axes ({i}, {j}) out of range for d = {d}")
     if resolution < 2:
         raise InvalidDimensionError("resolution must be >= 2")
+    _check_slice_points(resolution, d)
     theta = np.linspace(0.0, 2.0 * np.pi, resolution)
     X = np.zeros((resolution, d))
     X[:, i] = np.sqrt(d) * np.cos(theta)
@@ -371,6 +382,7 @@ def two_angle_slice(e: ParticleEnsemble, target, resolution: int) -> dict:
         raise InvalidDimensionError(f"two-angle slice needs d >= 3, got d = {d}")
     if resolution < 2:
         raise InvalidDimensionError("resolution must be >= 2")
+    _check_slice_points(resolution * resolution, d)
     t = np.linspace(0.0, np.pi, resolution)
     p = np.linspace(0.0, 2.0 * np.pi, resolution)
     T, Ph = np.meshgrid(t, p, indexing="ij")

@@ -59,6 +59,7 @@ from .units import (
     UnitMismatchError,
     _check_points,
     _eval_block_rows,
+    _kernel_sum_calls,
 )
 
 DYNAMICS_KINDS = ("gd", "sgd", "langevin")
@@ -270,12 +271,14 @@ class _Workspace:
     only) by a fixed run of numpy calls on views built once: the target's
     value and gradient pass at Z, bound by the target itself
     (_bind_eval) on the workspace's _spin3_scratch buffers when it first
-    meets the target, whatever kind of target it is, then the pair kernel's
-    blocks and the drift's combination, bound when the workspace is
-    built.  batch > 0: batch_drift() writes the SGD drift
+    meets the target, whatever kind of target it is, then the pair
+    kernel's (alpha Z)^T from _kernel_params and its blocks as the calls of
+    units._kernel_sum_calls, and the drift's combination, bound when the
+    workspace is built.  batch > 0: batch_drift() writes the SGD drift
     of a given batch of up to `batch` points into dc and dZ, the columns of
     one (n, p + 1) buffer D = [dc | dZ]; the batches come from the caller
-    (run_schedule's window, or draw_batch).  Every kernel is walked in
+    (run_schedule's window, or draw_batch), and the parameter side goes
+    through _kernel_params into a (p, n) buffer.  Every kernel is walked in
     blocks of _EVAL_BLOCK_ENTRIES entries.
     """
 
@@ -302,7 +305,7 @@ class _Workspace:
             self._bind_flow()
         if batch > 0:
             self.D, self.Dtmp = np.empty((n, p + 1)), np.empty((n, p + 1))
-            self.AZ = np.empty((n, p))
+            self.AZ = np.empty((p, n))
             self.dc, self.dZ = self.D[:, 0], self.D[:, 1:]
             rows = min(batch, _eval_block_rows(n))
             self.feat, self.WF, self.S = (np.empty((rows, n)) for _ in range(3))
@@ -315,27 +318,19 @@ class _Workspace:
     def _bind_flow(self) -> None:
         """The exact-flow buffers, and every numpy call of the drift after
         the target's pass as a (function, args) pair on views of them."""
-        c, Z, (n, p), alpha = self.c, self.Z, self.Z.shape, self.unit.alpha
+        unit, c, Z, (n, p) = self.unit, self.c, self.Z, self.Z.shape
         self.dc, self.dZ = np.empty(n), np.empty((n, p))
         self.s3 = _spin3_scratch(p, n)
         self.fz, self.g, self.cn = (np.empty(n) for _ in range(3))
         self.gradf, self.cZ, self.gcz = (np.empty((n, p)) for _ in range(3))
         ZT, F = np.empty((p, n)), np.empty((min(n, _eval_block_rows(n)), n))
-        # g_i = sum_j c_j phihat(z_i, z_j), gcz_i = sum_j c_j phihat(z_i, z_j) z_j,
-        # summed in the row blocks of _kernel_sums_into.  A separate buffer for
-        # (alpha Z)^T sends the pair product to gemm; numpy picks the much
-        # slower syrk when both operands share one buffer
-        calls = [(np.multiply, (self.c_col, Z, self.cZ)), (np.multiply, (Z.T, alpha, ZT))]
-        for lo in range(0, n, F.shape[0]):
-            Zb = Z[lo : lo + F.shape[0]]
-            Fb = F[: Zb.shape[0]]
-            calls += [(np.matmul, (Zb, ZT, Fb)), (np.exp, (Fb, Fb)),
-                      (np.matmul, (Fb, c, self.g[lo : lo + Fb.shape[0]])),
-                      (np.matmul, (Fb, self.cZ, self.gcz[lo : lo + Fb.shape[0]]))]
+        # g_i = sum_j c_j phihat(z_i, z_j), gcz_i = sum_j c_j phihat(z_i, z_j) z_j
+        calls = [(np.multiply, (self.c_col, Z, self.cZ)), (unit._kernel_params, (Z, ZT)),
+                 *_kernel_sum_calls(unit, Z, ZT, (c, self.cZ), (self.g, self.gcz), F)]
         # dc = f(z) - g / n, dZ = c grad f(z) - ((alpha / n) c) gcz
         calls += [(np.divide, (self.g, n, self.dc)), (np.subtract, (self.fz, self.dc, self.dc)),
                   (np.multiply, (self.c_col, self.gradf, self.dZ)),
-                  (np.multiply, (alpha / n, c, self.cn)),
+                  (np.multiply, (unit.alpha / n, c, self.cn)),
                   (np.multiply, (self.cn[:, None], self.gcz, self.tmp)),
                   (np.subtract, (self.dZ, self.tmp, self.dZ))]
         self.pair_calls, self.bound_target, self.drift_calls = tuple(calls), None, ()
@@ -358,7 +353,7 @@ class _Workspace:
         dc, acc = self.dc, self.dZ
         ss = 0.0
         rows = self.feat.shape[0]
-        ZT = unit._kernel_params(Z, self.AZ).T
+        ZT = unit._kernel_params(Z, self.AZ)
         for lo in range(0, P, rows):
             Xb = XL[lo : lo + rows]
             k = Xb.shape[0]

@@ -19,10 +19,15 @@ private kernels take lifted input rows, _lift(X): an rbf unit's points
 themselves, a sigmoid unit's rows (x, 1), whose product with Z^T is a.x + b,
 so that a block's features and its gradient sum are one gemm each.  The
 lift goes block by block where the rows are many (network evaluation) and
-once per batch window in a run.  On the parameter side they take
-_kernel_params(Z)^T: an rbf unit's alpha Z, so that its features are
-exp(X (alpha Z)^T) with no pass over the (rows, n) block for alpha, and a
-sigmoid unit's Z itself.
+once per batch window in a run.  On the parameter side every feature
+product takes one layout, which _kernel_params alone forms: a C-contiguous
+(p, n) array the caller owns, holding an rbf unit's (alpha Z)^T, so that
+its features are exp(X (alpha Z)^T) with no pass over the (rows, n) block
+for alpha, or a sigmoid unit's Z^T.  Being a buffer of its own, it sends
+the pair product Z (alpha Z)^T to gemm; numpy picks the much slower syrk
+when both operands share one buffer.  Every kernel sum, the network at the
+data and the pair term of the exact flow at the particles, is walked by
+the calls of one generator, _kernel_sum_calls.
 """
 from __future__ import annotations
 
@@ -119,24 +124,25 @@ class RbfUnit:
         """The kernel's input rows of the points X: X itself; out is not used."""
         return X
 
-    def _kernel_params(self, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The kernel's parameter side of Z: alpha Z, in out or in a new
-        array of Z's layout."""
-        return np.multiply(Z, self.alpha, out=out)
+    def _kernel_params(self, Z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The kernel's parameter side of Z, (alpha Z)^T, written into out,
+        a C-contiguous (p, n) array."""
+        return np.multiply(Z.T, self.alpha, out=out)
 
     def _features_into(self, X: np.ndarray, AZT: np.ndarray, out: np.ndarray,
                        scratch: np.ndarray | None = None) -> np.ndarray:
-        """out = exp(X (alpha Z)^T) for 2-d X and AZT = _kernel_params(Z)^T;
-        scratch is not used."""
+        """out = exp(X (alpha Z)^T) for 2-d X and AZT as _kernel_params
+        writes it; scratch is not used."""
         return np.exp(np.matmul(X, AZT, out=out), out=out)
 
     def features(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """(P, n) matrix phihat(x_p, z_i) = exp(alpha * x_p . z_i)."""
         X, Z = _check_points(self, np.atleast_2d(X)), np.atleast_2d(Z)
-        return self._features_into(X, self._kernel_params(Z).T, np.empty((X.shape[0], Z.shape[0])))
+        AZT = self._kernel_params(Z, np.empty((self.d, Z.shape[0])))
+        return self._features_into(X, AZT, np.empty((X.shape[0], Z.shape[0])))
 
     def eval_one(self, x: np.ndarray, z: np.ndarray) -> float:
-        return float(np.exp(float(np.dot(x, self._kernel_params(z)))))
+        return float(np.exp(float(np.dot(x, np.multiply(z, self.alpha)))))
 
     def grad_param(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """d/dz phihat(x, z) = alpha * x * phihat (ambient)."""
@@ -163,7 +169,7 @@ class RbfUnit:
     def grad_input(self, X: np.ndarray, z: np.ndarray) -> np.ndarray:
         """(P, d) rows d/dx phihat(x_p, z) = alpha * z * phihat."""
         X = np.atleast_2d(X)
-        f = np.exp(X @ self._kernel_params(np.asarray(z, dtype=np.float64)))
+        f = np.exp(X @ (np.asarray(z, dtype=np.float64) * self.alpha))
         return self.alpha * f[:, None] * z[None, :]
 
     def init_rows(self, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -208,20 +214,23 @@ class SigmoidUnit:
         XL[:, self.d] = 1.0
         return XL
 
-    def _kernel_params(self, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The kernel's parameter side of Z: Z itself; out is not used."""
-        return Z
+    def _kernel_params(self, Z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The kernel's parameter side of Z, Z^T, copied into out, a
+        C-contiguous (p, n) array."""
+        np.copyto(out, Z.T)
+        return out
 
     def _features_into(self, XL: np.ndarray, ZT: np.ndarray, out: np.ndarray,
                        scratch: np.ndarray) -> np.ndarray:
-        """out = h(a.x + b) for lifted rows XL = _lift(X) and ZT = Z^T;
-        scratch has out's shape."""
+        """out = h(a.x + b) for lifted rows XL = _lift(X) and ZT as
+        _kernel_params writes it; scratch has out's shape."""
         return _logistic_into(np.matmul(XL, ZT, out=scratch), out)
 
     def features(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         X, Z = _check_points(self, np.atleast_2d(X)), np.atleast_2d(Z)
         shape = (X.shape[0], Z.shape[0])
-        return self._features_into(self._lift(X), Z.T, np.empty(shape), np.empty(shape))
+        ZT = self._kernel_params(Z, np.empty((self.param_dim, Z.shape[0])))
+        return self._features_into(self._lift(X), ZT, np.empty(shape), np.empty(shape))
 
     def eval_one(self, x: np.ndarray, z: np.ndarray) -> float:
         u = float(np.dot(x, z[: self.d]) + z[self.d])
@@ -360,31 +369,35 @@ def _eval_block_rows(n: int) -> int:
     return max(1, _EVAL_BLOCK_ENTRIES // max(1, n))
 
 
-def _kernel_sums_into(unit, X: np.ndarray, ZT: np.ndarray, rhs: tuple, outs: tuple,
-                      F: np.ndarray, S: np.ndarray | None = None,
-                      XL: np.ndarray | None = None) -> tuple:
+def _kernel_sums_into(unit, X, ZT, rhs, outs, F, S=None, XL=None) -> tuple:
     """outs[k] = features(X, Z) @ rhs[k], in row blocks of F.shape[0] rows.
 
-    ZT is unit._kernel_params(Z)^T, (p, n), in the caller's layout: a
-    contiguous copy and the view of a transpose can give other last bits.  F and S (sigmoid units) are block
-    scratch.  X holds the points; a sigmoid unit lifts them into XL (S
-    given), whose row count may be below the block's: then the block's
+    ZT is as unit._kernel_params writes it and F is block scratch.  X holds the
+    points; a sigmoid unit lifts them into XL, with S, F's shape, for its
+    logistic.  XL's row count may be below the block's: then the block's
     features are formed in pieces of that many rows, and its sums still in
-    one call."""
+    one call.  The calls are those of _kernel_sum_calls, made as they come."""
+    for f, args in _kernel_sum_calls(unit, X, ZT, rhs, outs, F, S, XL):
+        f(*args)
+    return outs
+
+
+def _kernel_sum_calls(unit, X, ZT, rhs, outs, F, S=None, XL=None):
+    """The numpy calls of _kernel_sums_into, as (function, args) pairs whose
+    views are built as they come."""
     rows = F.shape[0]
     for lo in range(0, X.shape[0], rows):
         Xb = X[lo : lo + rows]
         k = Xb.shape[0]
         if XL is None:
-            unit._features_into(Xb, ZT, F[:k], None if S is None else S[:k])
+            yield unit._features_into, (Xb, ZT, F[:k], None)
         else:
             for a in range(0, k, XL.shape[0]):
-                Xa = Xb[a : a + XL.shape[0]]
-                m = a + Xa.shape[0]
-                unit._features_into(unit._lift(Xa, XL[: m - a]), ZT, F[a:m], S[a:m])
+                m = min(k, a + XL.shape[0])
+                yield unit._lift, (Xb[a:m], XL[: m - a])
+                yield unit._features_into, (XL[: m - a], ZT, F[a:m], S[a:m])
         for out, R in zip(outs, rhs):
-            np.matmul(F[:k], R, out=out[lo : lo + k])
-    return outs
+            yield np.matmul, (F[:k], R, out[lo : lo + k])
 
 
 def network_eval_rows(e: ParticleEnsemble, X: np.ndarray) -> np.ndarray:
@@ -404,7 +417,7 @@ def network_eval_rows(e: ParticleEnsemble, X: np.ndarray) -> np.ndarray:
     XL = S = None
     if p != e.unit.d:
         XL, S = np.empty((min(F.shape[0], _eval_block_rows(p)), p)), np.empty_like(F)
-    ZT = e.unit._kernel_params(e.z).T
+    ZT = e.unit._kernel_params(e.z, np.empty((p, e.n)))
     for lo in range(0, X.shape[0], _FINAL_EVAL_CHUNK):
         rows = slice(lo, lo + _FINAL_EVAL_CHUNK)
         _kernel_sums_into(e.unit, X[rows], ZT, (e.c,), (out[rows],), F, S, XL)

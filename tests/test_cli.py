@@ -19,7 +19,7 @@ from spinnet.diagnostics import (
     empirical_loss,
     read_report,
 )
-from spinnet.dynamics import StepFailure, load_checkpoint
+from spinnet.dynamics import InitSpec, StepFailure, load_checkpoint, save_checkpoint
 from spinnet.experiments import (
     ConfigError,
     build_spec,
@@ -33,6 +33,7 @@ from spinnet.experiments import (
 )
 from spinnet.rng import stream, subseed
 from spinnet.targets import SpinTensor
+from spinnet.units import RbfUnit
 
 TINY = """\
 experiment = train
@@ -682,6 +683,35 @@ def test_slice_axes_must_be_two_integers(train_dir):
     for axes in ("0,x", "1", "0,1,2"):
         code, _, err = run_cli(["slice", ckpt, "--axes", axes])
         assert code == 1 and stderr_json(err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("kind, resolution", [("great-circle", 10**11), ("two-angle", 10**5),
+                                              ("two-angle", 10**11)])
+def test_slice_refuses_points_past_physical_memory(tmp_path, kind, resolution):
+    # (resolution, d) or (resolution^2, d) doubles that physical memory
+    # cannot hold are refused before anything is allocated.  The run is
+    # capped at 1 GB of address space, so an allocation that the bound
+    # misses fails at once and cannot exhaust the machine
+    ckpt, dst = tmp_path / "ckpt.json", tmp_path / "slice.csv"
+    e = InitSpec(c_law="normal").sample(RbfUnit(alpha=1.0, d=3), 4, stream(1, "slice"))
+    save_checkpoint(ckpt, e, 0, {"tensor": SpinTensor.sample(3, 1).to_dict()})
+    argv = ["slice", str(ckpt), "--resolution", str(resolution), "--out", str(dst)]
+    if kind == "two-angle":
+        argv.append("--two-angle")
+    script = (
+        "import resource, sys\n"
+        "from spinnet.cli import main\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert stderr_json(proc.stderr)["error"] == "InvalidDimensionError"
+    assert os.listdir(tmp_path) == ["ckpt.json"]
 
 
 def test_corrupt_input_files_exit_1(tmp_path):

@@ -28,7 +28,7 @@ from spinnet.diagnostics import (
     tangent_kernel_gram,
     two_angle_slice,
 )
-from spinnet.dynamics import InitSpec, save_checkpoint
+from spinnet.dynamics import InitSpec, _Workspace, save_checkpoint
 from spinnet.experiments import write_summary
 from spinnet.geometry import InvalidDimensionError, sample_sphere_rows
 from spinnet.rng import stream
@@ -402,6 +402,20 @@ def test_pair_terms_chunking_is_invisible(monkeypatch):
     # row blocks of different heights may reassociate the BLAS sums
     assert np.allclose(g1, g0, rtol=1e-13, atol=0.0)
     assert q1 == pytest.approx(q0, rel=1e-13)
+
+
+@pytest.mark.parametrize("d, n", [(5, 16), (5, 300), (25, 100), (25, 300)])
+def test_network_at_the_particles_is_the_pair_term_bitwise(d, n):
+    # the network at the particles and the exact flow's pair term are one
+    # kernel sum: the same parameter layout and the same blocks give the
+    # same bits, also at shapes where another layout moves the last bits
+    unit = RbfUnit(alpha=5.0 / d, d=d)
+    e = InitSpec(c_law="normal").sample(unit, n, stream(d, "pairs", n))
+    f = network_eval_rows(e, e.z)
+    assert f.tobytes() == (rbf_pair_terms(e)[0] / n).tobytes()
+    ws = _Workspace(unit, e.c, e.z, exact=True)
+    ws.flow_drift(SpinTensor.sample(d, 11))
+    assert f.tobytes() == (ws.g / n).tobytes()
 
 
 def test_exact_loss_requires_rbf():

@@ -52,6 +52,11 @@ unit at alpha=1 and at alpha=0.2 and for a sigmoid unit, it hashes
 4096, 4097, 10000}, and ``_sampled_loss`` of the group of those four
 ensembles on a 3-spin target at size in {4097, 10000}; on a tree whose
 ``_sampled_loss`` takes one ensemble, a group is one call per ensemble.
+At d=25, for an rbf unit at alpha=0.2 and for a sigmoid unit, it hashes
+``features`` and ``network_eval_rows`` at n in {100, 300} on rows in {1,
+17, 4097}, shapes where the layout of the parameter side of a feature
+product (a contiguous (p, n) array or the view of a transpose) decides
+last bits.
 For the pair kernel and the SGD feature blocks, whose row blocks a block
 rule cuts, it hashes, at n in {1, 16, 100, 250, 300, 512, 1024}: the pair
 sums ``diagnostics.rbf_pair_terms`` (g and the quadratic form) and one
@@ -153,6 +158,13 @@ for uname, unit in (("rbf1", RbfUnit(alpha=1.0, d=5)), ("rbf02", RbfUnit(alpha=0
     for size in (4097, 10000):
         write(f"sampled_loss_group_{uname}_size{size}",
               [sampled_losses(group, t, size, (5, "big", size))])
+for uname, unit in (("rbf02", RbfUnit(alpha=0.2, d=25)), ("sigmoid", SigmoidUnit(d=25))):
+    for n in (100, 300):
+        e = init.sample(unit, n, stream(25, "net", n))
+        for rows in (1, 17, 4097):
+            X = sample_sphere_rows(25, rows, stream(25, "points", rows))
+            write(f"features_{uname}_d25_n{n}_rows{rows}", [unit.features(X, e.z)])
+            write(f"network_eval_{uname}_d25_n{n}_rows{rows}", [network_eval_rows(e, X)])
 
 t = SpinTensor.sample(5, 11)
 for n in (1, 16, 100, 250, 300, 512, 1024):
